@@ -20,18 +20,26 @@ Workloads (``--seed`` makes the inputs, see ``workloads.py``):
   baseline runs in set-up, then single-literal edits go through
   ``Session.update_source``.
 
+Every time the benchmark reports is at nominal host speed: the host it
+runs on changes speed in phases, so a fixed pure-Python loop probes the
+speed between units, off the clock, and each timed interval is divided by
+the host's slowness at that moment (``hostspeed.py``; the untraced run
+prints the median slowness as ``host_slowness``).  ``--seconds`` likewise
+budgets unit time at nominal speed, so a run does the same work whatever
+the host's speed; on a slow spell it takes longer.
+
 ``--trace 0`` measures the end-to-end metrics with tracing off, over at
 least ``MIN_UNITS`` units and ``--seconds`` of timed work, split over
 ``PARTS`` processes run one after another and pooled.  ``setup_s`` is the
-median over the parts of each one's set-up: imports, generation and one
-untimed pass (for ``edit-churn``, the cold baseline).
+median over the parts of each one's set-up: imports (as measured),
+generation and one untimed pass (for ``edit-churn``, the cold baseline).
 
 ``--trace 1`` measures the per-layer metrics.  It times units untraced for
 half the budget, then the same units stage by stage with spans
 (``pipeline.py``), and writes the spans as a Chrome trace under
 ``.perfbench_out/``.  Per-layer ``*_s`` metrics are self seconds per traced
 unit, counts are per unit, ``share.*`` are shares of traced unit time and
-``trace.overhead_pct`` is traced minus untraced wall time of the same units.
+``trace.overhead_pct`` is traced minus untraced time of the same units.
 
 Correctness, checked off the clock in every run:
 
@@ -51,6 +59,9 @@ from __future__ import annotations
 
 import time
 
+from hostspeed import MIN_PROBES, PROBE
+
+PROBE.sample(MIN_PROBES)
 _START = time.perf_counter()
 
 import argparse  # noqa: E402
@@ -163,17 +174,21 @@ class Records(list):
 
 
 class Record:
-    """One timed unit: what ran, how long it took, what it answered."""
+    """One timed unit: what ran, how long it took, what it answered.
+    ``seconds`` is at nominal host speed once :func:`measure` returns;
+    ``began`` and ``wall`` are as measured."""
 
-    __slots__ = ("position", "name", "source", "seconds", "digest",
-                 "no_alias", "queries", "memoized", "truncated", "pairs")
+    __slots__ = ("position", "name", "source", "began", "wall", "seconds",
+                 "digest", "no_alias", "queries", "memoized", "truncated",
+                 "pairs")
 
-    def __init__(self, position: int, name: str, source: str,
-                 seconds: float, result, verdicts) -> None:
+    def __init__(self, position: int, name: str, source: str, began: float,
+                 wall: float, result, verdicts) -> None:
         self.position = position
         self.name = name
         self.source = source
-        self.seconds = seconds
+        self.began = began
+        self.wall = self.seconds = wall
         self.no_alias = self.queries = self.memoized = self.truncated = 0
         if result is not None:
             evaluation = result.evaluation(pipeline.CHAIN_LABEL)
@@ -191,19 +206,28 @@ def measure(units: Iterator[Tuple[int, str, str]], analyze, seconds: float,
             stream_units: int = 0, whole: int = 1) -> List[Record]:
     """Analyze units one after another (the closed loop).
 
-    Runs ``count`` units when given, else until ``seconds`` have passed, at
-    least ``min_units`` ran and the count is a multiple of ``whole`` (whole
-    passes weigh every program alike).  ``analyze(name, source)`` returns a
-    ``UnitResult`` or a verdict dict; a unit that raises has no verdicts.
-    The first ``stream_units`` verdicts are added to ``stream``.
+    Runs ``count`` units when given, else until the units took ``seconds``
+    at nominal host speed, at least ``min_units`` ran and the count is a
+    multiple of ``whole`` (whole passes weigh every program alike).
+    ``analyze(name, source)`` returns a ``UnitResult`` or a verdict dict; a
+    unit that raises has no verdicts.  The first ``stream_units`` verdicts
+    are added to ``stream``.
+
+    The host-speed probe runs between units, off the clock, and each
+    record's ``seconds`` is then scaled to nominal host speed
+    (``hostspeed.py``).  Budgeting nominal seconds, not wall seconds, makes
+    the work of a run independent of the host's speed: a session that
+    grows with every edit would otherwise reach a different size in a
+    fast spell than in a slow one.
     """
     records = Records()
     gc.collect()  # every loop starts from the same collector state
-    started = time.perf_counter()
+    spent = 0.0
     while (len(records) < count if count is not None
            else len(records) < min_units or len(records) % whole
-           or time.perf_counter() - started < seconds):
+           or spent < seconds):
         position, name, source = next(units)
+        PROBE.due()
         began = time.perf_counter()
         try:
             outcome = analyze(name, source)
@@ -211,17 +235,21 @@ def measure(units: Iterator[Tuple[int, str, str]], analyze, seconds: float,
             sys.stderr.write("perfbench: {} raised {!r}\n".format(name, error))
             outcome = None
         seconds_taken = time.perf_counter() - began
+        spent += PROBE.normalize(began, seconds_taken)
         result = verdicts = None
         if isinstance(outcome, dict):
             verdicts = outcome
         elif outcome is not None:
             result, verdicts = outcome, pipeline.verdicts_of(outcome)
-        records.append(Record(position, name, source, seconds_taken,
+        records.append(Record(position, name, source, began, seconds_taken,
                               result, verdicts))
         if stream is not None and len(records) <= stream_units and verdicts:
             stream.add(name, verdicts)
         if len(records) == min_units:
             records.peak_rss_mb = peak_rss_mb()
+    PROBE.sample(MIN_PROBES)  # so the last units have probes after them
+    for record in records:
+        record.seconds = PROBE.normalize(record.began, record.wall)
     return records
 
 
@@ -240,14 +268,17 @@ class ColdWorkload:
 
     def setup(self) -> float:
         """Generate the programs and analyze each once, untimed; the pass
-        gives the reference verdicts.  Returns its seconds."""
-        started = time.perf_counter()
+        gives the reference verdicts.  Returns its seconds, probes left
+        out."""
+        started, probed = time.perf_counter(), PROBE.spent
         self.units = workloads.programs(self.name, self.seed)
         self.session = pipeline.new_session()
-        reference = [
-            pipeline.verdicts_of(self.session.evaluate_source(name, source))
-            for name, source in self.units]
-        seconds = time.perf_counter() - started
+        reference = []
+        for name, source in self.units:
+            PROBE.due()
+            reference.append(pipeline.verdicts_of(
+                self.session.evaluate_source(name, source)))
+        seconds = time.perf_counter() - started - (PROBE.spent - probed)
         self.expected = [unit_digest(verdicts) for verdicts in reference]
         digest = StreamDigest(pipeline.LABELS)
         for (name, _source), verdicts in zip(self.units, reference):
@@ -279,16 +310,19 @@ class ColdWorkload:
 
     def audit(self, records: List[Record]) -> set:
         """Indexes of records whose program ``verify_analysis`` rejects.
-        Sets ``audit_seconds``, the time spent in the checks per program."""
+        Sets ``audit_seconds``, the time spent in the checks per program
+        at nominal host speed."""
         session = pipeline.new_session()
         rejected = set()
         checking = 0.0
         for position, (name, source) in enumerate(self.units):
+            PROBE.due()
             try:
                 unit = session.compile(source, name).analyze()
                 started = time.perf_counter()
                 ok = unit.verify().ok
-                checking += time.perf_counter() - started
+                checking += PROBE.normalize(started,
+                                            time.perf_counter() - started)
             except Exception:
                 ok = False
             if not ok:
@@ -332,15 +366,17 @@ class EditWorkload:
 
     def _baseline(self, session, store=None):
         for name, source in self.base:
+            PROBE.due()
             session.update_source(name, source, store=store)
         return session
 
     def setup(self) -> float:
-        started = time.perf_counter()
+        """The cold baseline.  Returns its seconds, probes left out."""
+        started, probed = time.perf_counter(), PROBE.spent
         self.base = workloads.programs(self.name, self.seed)
         self.session = self._baseline(
             pipeline.new_session(self._store_path()))
-        return time.perf_counter() - started
+        return time.perf_counter() - started - (PROBE.spent - probed)
 
     def instructions(self) -> Dict[str, int]:
         """Per program; a literal edit keeps the instruction count."""
@@ -372,23 +408,27 @@ class EditWorkload:
 
     def audit(self, records: List[Record]) -> set:
         """Indexes of sampled edits whose cold re-solve differs.  Sets
-        ``audit_seconds``, the time of one cold re-solve."""
-        started = time.perf_counter()
+        ``audit_seconds``, the time of one cold re-solve at nominal host
+        speed."""
         rng = random.Random("audit/{}".format(self.seed))
         sample = rng.sample(range(len(records)),
                             min(AUDIT_EDITS, len(records)))
         cold = pipeline.new_session()
         differing = set()
+        solving = 0.0
         for index in sorted(sample):
             record = records[index]
+            PROBE.due()
+            started = time.perf_counter()
             try:
                 digest = unit_digest(pipeline.verdicts_of(
                     cold.evaluate_source(record.name, record.source)))
             except Exception:
                 digest = None
+            solving += PROBE.normalize(started, time.perf_counter() - started)
             if digest is None or digest != record.digest:
                 differing.add(index)
-        self.audit_seconds = (time.perf_counter() - started) / len(sample)
+        self.audit_seconds = solving / len(sample)
         return differing
 
     def traced(self, untraced: List[Record], recorder, counters):
@@ -457,10 +497,18 @@ def digest_note(mismatch: Optional[bool]) -> str:
 
 def measure_part(args, scratch: str) -> Dict[str, object]:
     """One part of an untraced run, in its own process: set up once, time
-    units for ``args.seconds``, check them; returns raw figures."""
+    units for ``args.seconds``, check them; returns raw figures, times at
+    nominal host speed."""
     workload = make_workload(args.workload, args.seed, scratch, args.part)
-    setup_seconds = time.perf_counter() - _START
-    setup_seconds += workload.setup()
+    # imports count as measured: loading modules follows the host's speed
+    # phases less than the probe loop does, and scaling them too widened
+    # the spread of setup_s over ten chain-loops runs from 0.06 to 0.19
+    imports = time.perf_counter() - _START
+    started = time.perf_counter()
+    setup_seconds = workload.setup()
+    set_up = time.perf_counter()
+    PROBE.sample(MIN_PROBES)
+    setup_seconds = imports + setup_seconds / PROBE.slowness(started, set_up)
     records = workload.untraced(args.seconds, -(-MIN_UNITS // PARTS))
     workload.close()
     failed = workload.failures(records) | workload.audit(records)
@@ -471,6 +519,7 @@ def measure_part(args, scratch: str) -> Dict[str, object]:
     return {
         "setup_s": setup_seconds,
         "latencies": [record.seconds for record in records],
+        "slowness": [record.wall / record.seconds for record in records],
         "instructions": sum(instructions[record.name] for record in records),
         "no_alias": sum(record.no_alias for record in records),
         "queries": sum(record.queries for record in records),
@@ -513,6 +562,8 @@ def end_to_end(args, _scratch: str):
     notes = {
         "units": attempted,
         "failed_frac": failed / attempted,
+        "host_slowness": statistics.median(
+            slowness for part in parts for slowness in part["slowness"]),
         "reference_digest": " ".join(part["digest"] for part in parts),
     }
     return metrics, attempted, failed, notes
@@ -541,9 +592,13 @@ def per_layer(args, scratch: str):
     units = len(traced)
     instructions = workload.instructions()
     tokens = workload.tokens()
-    selves = self_by_name(recorder.spans)
-    unit_seconds = sum(span.duration for span in recorder.spans
-                       if span.name == "unit")
+    unit_spans = [span for span in recorder.spans if span.name == "unit"]
+    slowness = {span.unit: PROBE.slowness(span.start,
+                                          span.start + span.duration)
+                for span in unit_spans}
+    selves = self_by_name(recorder.spans, slowness)
+    unit_seconds = sum(span.duration / slowness[span.unit]
+                       for span in unit_spans)
 
     def self_s(*names: str) -> float:
         return sum(selves.get(name, 0.0) for name in names)

@@ -71,10 +71,15 @@ def self_times(spans: List[Span]) -> List[float]:
     return selves
 
 
-def self_by_name(spans: List[Span]) -> Dict[str, float]:
-    """Total self seconds per span name."""
+def self_by_name(spans: List[Span],
+                 slowness: Optional[Dict[int, float]] = None
+                 ) -> Dict[str, float]:
+    """Total self seconds per span name; with ``slowness`` (unit id to the
+    host's slowness while it ran), each span's at nominal host speed."""
     totals: Dict[str, float] = {}
     for span, own in zip(spans, self_times(spans)):
+        if slowness is not None:
+            own /= slowness[span.unit]
         totals[span.name] = totals.get(span.name, 0.0) + own
     return totals
 

@@ -18,6 +18,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
+import hostspeed  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -59,6 +60,11 @@ def test_generators_deterministic_across_processes():
     assert prints == {_fingerprint_in_process()}
 
 
+def test_chain_loops_have_an_odd_number_of_units():
+    # the median of whole passes then falls inside one unit's latencies
+    assert {len(workloads.chain_loops(seed)) % 2 for seed in range(4)} == {1}
+
+
 def test_spec_mix_seed_zero_is_spec_sources():
     from repro.synth import spec_sources
 
@@ -77,6 +83,38 @@ def test_edits_change_exactly_one_literal():
                                       workloads._LITERAL.findall(new))
                if a != b]
     assert len(changed) == 1 and int(changed[0][1]) > int(changed[0][0])
+
+
+def test_edits_of_a_program_step_by_the_golden_ratio():
+    stream = workloads.EditStream(5)
+    name = stream.base[0][0]
+    place = stream._place[name]
+    count = len(workloads._LITERAL.findall(stream.current[name]))
+    edited = []
+    while len(edited) < 4:
+        before = stream.current[name]
+        edit_name, after = next(stream)
+        if edit_name == name:
+            pairs = zip(workloads._LITERAL.findall(before),
+                        workloads._LITERAL.findall(after))
+            edited += [index for index, (a, b) in enumerate(pairs) if a != b]
+    assert edited == [int(((place + k * workloads.GOLDEN) % 1.0) * count)
+                      for k in range(4)]
+
+
+def test_probe_scales_intervals_to_nominal_speed():
+    probe = hostspeed.Probe()
+    nominal = hostspeed.NOMINAL_S
+    probe.starts = [0.0, 0.5, 1.0, 10.0, 10.5, 11.0, 11.5, 12.0]
+    probe.seconds = [2 * nominal] * 3 + [nominal] * 5
+    # a window of three probes widens to the two nearest after it
+    assert probe.slowness(10.2, 10.4) == pytest.approx(1.0)
+    assert probe.normalize(10.2, 0.2) == pytest.approx(0.2)
+    # twice the nominal loop time halves the interval
+    assert probe.slowness(0.2, 0.4) == pytest.approx(2.0)
+    assert probe.normalize(0.2, 0.2) == pytest.approx(0.1)
+    probe.sample(2)
+    assert len(probe.seconds) == 10 and probe.spent > 0
 
 
 def _hand_span(recorder, name, start, duration, parent):

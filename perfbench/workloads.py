@@ -12,8 +12,9 @@ sources in every process, whatever ``PYTHONHASHSEED`` is.
   dependence chains, plus the paper's nested-loop kernels.
 * :class:`EditStream` - an endless sequence of single-integer-literal edits
   to the SPEC-profile programs of seed 0.  Only the edits depend on the
-  seed: edit latency follows program size, and a fixed program set keeps
-  the latency distribution the same on every seed.
+  seed: edit latency follows program size and the place edited, and a
+  fixed program set, with the edits of each program spread evenly over
+  its literals, keeps the latency distribution the same on every seed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ Unit = Tuple[str, str]
 SPEC_SEED_STRIDE = 1000
 
 #: dependence-chain lengths before the seeded jitter; a fixed grid keeps the
-#: spread of unit sizes the same on every seed.
-CHAIN_GRID = (16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96)
+#: spread of unit sizes the same on every seed.  Its 22 steps and the three
+#: kernels make an odd number of units, so the median and the 90th
+#: percentile of a run of whole passes fall inside one unit's latencies,
+#: not on the gap between two; the jitter spans one step.
+CHAIN_GRID = tuple(range(16, 104, 4))
 CHAIN_JITTER = 3
 CHAIN_LOOPS_PER_UNIT = 2
 
@@ -44,6 +48,10 @@ LOOP_KERNELS = ("ins_sort", "partition", "two_pointer_sum")
 
 #: an integer literal that is not part of an identifier.
 _LITERAL = re.compile(r"(?<![\w])\d+(?![\w])")
+
+#: the golden-ratio stride between successive edits of one program, as a
+#: share of its literals: any run of edits spreads evenly over the program.
+GOLDEN = (5 ** 0.5 - 1) / 2
 
 
 def spec_mix(seed: int) -> List[Unit]:
@@ -93,14 +101,15 @@ def chain_loops(seed: int) -> List[Unit]:
     return units
 
 
-def literal_edit(source: str, rng: random.Random) -> str:
-    """``source`` with one integer literal raised by 1 to 9.
+def literal_edit(source: str, place: float, rng: random.Random) -> str:
+    """``source`` with one integer literal raised by 1 to 9: the one at
+    ``place`` (0 to 1) along the list of its literals.
 
     Raising (never lowering) keeps every literal positive, so array sizes
     and divisors stay valid, and no edit restores an earlier version.
     """
     literals = list(_LITERAL.finditer(source))
-    match = literals[rng.randrange(len(literals))]
+    match = literals[int(place * len(literals))]
     value = int(match.group()) + rng.randint(1, 9)
     return source[:match.start()] + str(value) + source[match.end():]
 
@@ -112,8 +121,11 @@ class EditStream:
     visit the programs in rounds, each round a seeded shuffle of all
     of them, so every prefix of the stream edits each program about equally
     often whatever the seed.  An edit raises one literal of the program and
-    yields ``(name, new source)``.  Edits accumulate: the next edit of a
-    program starts from its last version, as in an editing session.
+    yields ``(name, new source)``.  The ``k``-th edit of a program raises
+    the literal at ``offset + k * GOLDEN`` (mod 1) along its literals, from
+    a seeded offset, so the edits of a program spread evenly over it.
+    Edits accumulate: the next edit of a program starts from its last
+    version, as in an editing session.
     """
 
     def __init__(self, seed: int, part: int = 0) -> None:
@@ -121,6 +133,7 @@ class EditStream:
         self.current: Dict[str, str] = dict(self.base)
         self._rng = random.Random("edit-churn/{}".format(seed) if part == 0
                                   else "edit-churn/{}/{}".format(seed, part))
+        self._place = {name: self._rng.random() for name, _source in self.base}
         self._round: List[str] = []
 
     def __iter__(self) -> Iterator[Unit]:
@@ -131,7 +144,8 @@ class EditStream:
             self._round = [name for name, _source in self.base]
             self._rng.shuffle(self._round)
         name = self._round.pop()
-        source = literal_edit(self.current[name], self._rng)
+        source = literal_edit(self.current[name], self._place[name], self._rng)
+        self._place[name] = (self._place[name] + GOLDEN) % 1.0
         self.current[name] = source
         return name, source
 
