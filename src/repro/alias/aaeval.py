@@ -3,21 +3,30 @@
 The evaluation methodology of the paper is built on ``aa-eval``: within each
 function, every pair of pointer values is queried and the analysis is scored
 by the fraction of pairs it reports as NoAlias.  This module reimplements
-that harness: it collects the pointer values of a function, issues one query
-per unordered pair, and aggregates verdict counts per function, per module
-and per benchmark suite.
+that harness: it collects the pointer values of a function, answers every
+unordered pair, and aggregates verdict counts per function, per module and
+per benchmark suite.
+
+Each analysis answers a function as one *verdict column*
+(:meth:`~repro.alias.interface.AliasAnalysis.function_column`): a string of
+:attr:`AliasResult.code` characters in ``(i, j)`` pair order.  Counts are
+``str.count`` over the column, and the column itself is the verdict stream
+the execution engine persists and compares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.alias.interface import AliasAnalysis
-from repro.alias.results import AliasResult, MemoryLocation
+from repro.alias.results import (  # noqa: F401 - re-exported
+    AliasResult,
+    MemoryLocation,
+    collect_memory_locations,
+    collect_pointer_values,
+)
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction
 from repro.ir.module import Module
-from repro.ir.values import Argument, Value
 
 
 class AliasEvaluation:
@@ -57,6 +66,16 @@ class AliasEvaluation:
         return merged
 
     @classmethod
+    def from_codes(cls, codes: str) -> "AliasEvaluation":
+        """Count the verdicts of a verdict column."""
+        evaluation = cls()
+        evaluation.no_alias = codes.count("N")
+        evaluation.may_alias = codes.count("M")
+        evaluation.partial_alias = codes.count("P")
+        evaluation.must_alias = codes.count("U")
+        return evaluation
+
+    @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "AliasEvaluation":
         """Rebuild an evaluation from :meth:`as_dict` output.
 
@@ -87,60 +106,15 @@ class AliasEvaluation:
             self.total_queries, self.no_alias, self.no_alias_ratio)
 
 
-def collect_pointer_values(function: Function) -> List[Value]:
-    """Every pointer-typed SSA value of ``function`` (arguments first)."""
-    pointers: List[Value] = []
-    for argument in function.arguments:
-        if argument.type.is_pointer():
-            pointers.append(argument)
-    for inst in function.instructions():
-        if inst.produces_value() and inst.type.is_pointer():
-            pointers.append(inst)
-    return pointers
-
-
-def collect_memory_locations(function: Function,
-                             size: Optional[int] = 1) -> List[MemoryLocation]:
-    """One reusable :class:`MemoryLocation` per pointer value of ``function``.
-
-    The seed evaluator allocated a fresh location per *pair* (O(n²)
-    allocations); building them once here and passing the list to
-    :func:`alias_many` / :meth:`AliasAnalysis.alias_many` is the batched fast
-    path.
-    """
-    return [MemoryLocation(pointer, size)
-            for pointer in collect_pointer_values(function)]
-
-
 def alias_many(analysis: AliasAnalysis,
                locations: Sequence[MemoryLocation]) -> AliasEvaluation:
     """Aggregate the verdicts of every unordered pair of ``locations``."""
-    evaluation = AliasEvaluation()
-    # Tally with local counters: one attribute store per batch instead of a
-    # method call per pair (this loop runs O(n²) times per function).
-    no = may = partial = must = 0
-    no_verdict = AliasResult.NO_ALIAS
-    must_verdict = AliasResult.MUST_ALIAS
-    partial_verdict = AliasResult.PARTIAL_ALIAS
-    for _i, _j, verdict in analysis.alias_many(locations):
-        if verdict is no_verdict:
-            no += 1
-        elif verdict is must_verdict:
-            must += 1
-        elif verdict is partial_verdict:
-            partial += 1
-        else:
-            may += 1
-    evaluation.no_alias = no
-    evaluation.may_alias = may
-    evaluation.partial_alias = partial
-    evaluation.must_alias = must
-    return evaluation
+    return AliasEvaluation.from_codes(analysis.alias_column(locations))
 
 
 def evaluate_function_verdicts(function: Function, analysis: AliasAnalysis,
                                size: Optional[int] = 1) -> "Tuple[AliasEvaluation, str]":
-    """Like :func:`evaluate_function`, but also record the verdict stream.
+    """Like :func:`evaluate_function`, but also return the verdict column.
 
     Returns ``(evaluation, codes)`` where ``codes`` is one
     :attr:`AliasResult.code` character per unordered pair in ``(i, j)``
@@ -148,26 +122,43 @@ def evaluate_function_verdicts(function: Function, analysis: AliasAnalysis,
     persists and compares to certify that sharded and store-warmed runs are
     bit-identical to the serial path.
     """
-    analysis.prepare_function(function)
-    locations = collect_memory_locations(function, size)
-    evaluation = AliasEvaluation()
-    codes: List[str] = []
-    for _i, _j, verdict in analysis.alias_many(locations):
-        evaluation.record(verdict)
-        codes.append(verdict.code)
-    return evaluation, "".join(codes)
+    codes = analysis.function_column(function, size)
+    return AliasEvaluation.from_codes(codes), codes
 
 
 def evaluate_function(function: Function, analysis: AliasAnalysis,
                       size: Optional[int] = 1) -> AliasEvaluation:
-    """Query every unordered pair of pointer values of ``function``.
+    """Query every unordered pair of pointer values of ``function``."""
+    return AliasEvaluation.from_codes(analysis.function_column(function, size))
 
-    Locations are constructed once and the batched
-    :meth:`AliasAnalysis.alias_many` entry point is used, which yields
-    verdicts identical to the pair-by-pair loop.
+
+def resolution_counts(label: str,
+                      evaluations: Mapping[str, AliasEvaluation]) -> Dict[str, int]:
+    """Where the pairs of spec ``label`` got decided, from verdict counts.
+
+    For a chain ``m1+m2+…`` the pairs member ``m_t`` decided are the
+    ``MayAlias`` pairs of the prefix chain ``m1+…+m_{t-1}`` that
+    ``m1+…+m_t`` no longer leaves ``MayAlias`` — which needs only the
+    ``MayAlias`` counts of the prefix labels present in ``evaluations``.
+    Members whose prefix label is absent are reported together under their
+    joined name.  ``unresolved`` counts the pairs the whole spec leaves
+    ``MayAlias``.  Returns ``{member or joined members: pairs,
+    "unresolved": pairs}``.
     """
-    analysis.prepare_function(function)
-    return alias_many(analysis, collect_memory_locations(function, size))
+    members = label.split("+")
+    remaining = evaluations[label].total_queries
+    counts: Dict[str, int] = {}
+    start = 0
+    for end in range(1, len(members) + 1):
+        prefix = "+".join(members[:end])
+        if end < len(members) and prefix not in evaluations:
+            continue
+        may_alias = evaluations[prefix].may_alias
+        counts["+".join(members[start:end])] = remaining - may_alias
+        remaining = may_alias
+        start = end
+    counts["unresolved"] = remaining
+    return counts
 
 
 def evaluate_module(module: Module, analysis: AliasAnalysis,

@@ -16,11 +16,19 @@ from:
 The strict-inequality analysis is deliberately complementary to these rules:
 BA knows nothing about *variable* offsets, which is exactly where the
 less-than analysis contributes (Section 3.6 of the paper).
+
+The rules are written once, over the kind of each pointer's underlying
+object (:func:`object_kind`) and, for pointers into one object, their
+constant offsets and sizes.  :meth:`BasicAliasAnalysis.alias` applies them
+to one pair and is the reference; :meth:`BasicAliasAnalysis.alias_column`
+walks each pointer back to its object once and answers every pair of
+*different* objects with one ``str.translate`` per row, so only pairs that
+share an object are decided one by one.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.alias.interface import AliasAnalysis
 from repro.alias.results import AliasResult, MemoryLocation
@@ -51,14 +59,60 @@ def underlying_object_and_offset(pointer: Value) -> Tuple[Value, Optional[int]]:
         return current, offset
 
 
-def is_identified_object(value: Value) -> bool:
-    """Objects whose identity is known exactly: stack, heap and global storage."""
-    return isinstance(value, (Alloca, Malloc, GlobalVariable))
+#: kinds of underlying object, one character each so that a list of kinds
+#: is a string ``str.translate`` can map to verdict codes.
+NULL, GLOBAL, LOCAL, ESCAPED, OTHER = "ngleo"
 
 
-def is_identified_local(value: Value) -> bool:
-    """Function-local allocations (not visible to callers)."""
-    return isinstance(value, (Alloca, Malloc))
+def object_kind(value: Value) -> str:
+    """null / global / function-local allocation / pointer that came from
+    outside the function (argument, load, call result) / anything else."""
+    if isinstance(value, NullPointer):
+        return NULL
+    if isinstance(value, GlobalVariable):
+        return GLOBAL
+    if isinstance(value, (Alloca, Malloc)):
+        return LOCAL
+    if isinstance(value, (Argument, Load, Call)):
+        return ESCAPED
+    return OTHER
+
+
+def _distinct_objects_code(kind_a: str, kind_b: str) -> str:
+    """The verdict code for pointers into two *different* objects."""
+    if NULL in (kind_a, kind_b):
+        return "N"
+    if kind_a in (GLOBAL, LOCAL) and kind_b in (GLOBAL, LOCAL):
+        return "N"
+    if {kind_a, kind_b} == {LOCAL, ESCAPED}:
+        return "N"
+    return "M"
+
+
+#: per row kind, the translation of the other pointers' kinds to verdicts.
+_DISTINCT_ROW = {
+    kind_a: str.maketrans({kind_b: _distinct_objects_code(kind_a, kind_b)
+                           for kind_b in (NULL, GLOBAL, LOCAL, ESCAPED, OTHER)})
+    for kind_a in (NULL, GLOBAL, LOCAL, ESCAPED, OTHER)
+}
+
+
+def _same_object_code(fact_a: Tuple[Value, Optional[int], Optional[int]],
+                      fact_b: Tuple[Value, Optional[int], Optional[int]]) -> str:
+    """The verdict code for two ``(pointer, offset, size)`` into one object."""
+    pointer_a, offset_a, size_a = fact_a
+    pointer_b, offset_b, size_b = fact_b
+    if pointer_a is pointer_b:
+        return "U"
+    if offset_a is None or offset_b is None:
+        return "M"
+    if offset_a == offset_b:
+        return "U"
+    if size_a is None or size_b is None:
+        return "M"
+    if offset_a + size_a <= offset_b or offset_b + size_b <= offset_a:
+        return "N"
+    return "P"
 
 
 class BasicAliasAnalysis(AliasAnalysis):
@@ -67,47 +121,40 @@ class BasicAliasAnalysis(AliasAnalysis):
     name = "basicaa"
 
     def alias(self, loc_a: MemoryLocation, loc_b: MemoryLocation) -> AliasResult:
-        ptr_a, ptr_b = loc_a.pointer, loc_b.pointer
-        if ptr_a is ptr_b:
-            return AliasResult.MUST_ALIAS
+        object_a, offset_a = underlying_object_and_offset(loc_a.pointer)
+        object_b, offset_b = underlying_object_and_offset(loc_b.pointer)
+        if object_a is object_b:
+            code = _same_object_code((loc_a.pointer, offset_a, loc_a.size),
+                                     (loc_b.pointer, offset_b, loc_b.size))
+        else:
+            code = _distinct_objects_code(object_kind(object_a),
+                                          object_kind(object_b))
+        return AliasResult.from_code(code)
 
-        obj_a, off_a = underlying_object_and_offset(ptr_a)
-        obj_b, off_b = underlying_object_and_offset(ptr_b)
-
-        # The null pointer does not alias any identified object (dereferencing
-        # it is undefined behaviour anyway).
-        if isinstance(obj_a, NullPointer) or isinstance(obj_b, NullPointer):
-            if obj_a is not obj_b:
-                return AliasResult.NO_ALIAS
-
-        if obj_a is obj_b:
-            return self._same_object(loc_a, loc_b, off_a, off_b)
-
-        # Two distinct identified allocation sites cannot overlap.
-        if is_identified_object(obj_a) and is_identified_object(obj_b):
-            return AliasResult.NO_ALIAS
-
-        # A local allocation cannot alias a pointer that flowed in from the
-        # caller (arguments) or out of memory (loads) because its address has
-        # not escaped through those channels within well-formed programs.
-        for local, other in ((obj_a, obj_b), (obj_b, obj_a)):
-            if is_identified_local(local) and isinstance(other, (Argument, Load, Call)):
-                return AliasResult.NO_ALIAS
-
-        return AliasResult.MAY_ALIAS
-
-    def _same_object(self, loc_a: MemoryLocation, loc_b: MemoryLocation,
-                     off_a: Optional[int], off_b: Optional[int]) -> AliasResult:
-        """Both pointers address the same object; compare constant offsets."""
-        if off_a is None or off_b is None:
-            return AliasResult.MAY_ALIAS
-        if off_a == off_b:
-            return AliasResult.MUST_ALIAS
-        size_a = loc_a.size if loc_a.size is not None else None
-        size_b = loc_b.size if loc_b.size is not None else None
-        if size_a is None or size_b is None:
-            return AliasResult.MAY_ALIAS
-        # Disjoint access windows [off, off + size) never overlap.
-        if off_a + size_a <= off_b or off_b + size_b <= off_a:
-            return AliasResult.NO_ALIAS
-        return AliasResult.PARTIAL_ALIAS
+    def alias_column(self, locations: Sequence[MemoryLocation]) -> str:
+        facts: List[Tuple[Value, Optional[int], Optional[int]]] = []
+        kinds: List[str] = []
+        sharing: Dict[Value, List[int]] = {}
+        for index, location in enumerate(locations):
+            root, offset = underlying_object_and_offset(location.pointer)
+            facts.append((location.pointer, offset, location.size))
+            kinds.append(object_kind(root))
+            sharing.setdefault(root, []).append(index)
+        # Per index, the later indices whose pointers share its object.
+        peers: Dict[int, List[int]] = {}
+        for members in sharing.values():
+            for position in range(len(members) - 1):
+                peers[members[position]] = members[position + 1:]
+        kind_row = "".join(kinds)
+        rows: List[str] = []
+        for i, kind in enumerate(kinds):
+            row = kind_row[i + 1:].translate(_DISTINCT_ROW[kind])
+            later = peers.get(i)
+            if later:
+                cells = list(row)
+                fact = facts[i]
+                for j in later:
+                    cells[j - i - 1] = _same_object_code(fact, facts[j])
+                row = "".join(cells)
+            rows.append(row)
+        return "".join(rows)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import List, Optional
 
+from repro.ir.function import Function
 from repro.ir.values import Value
 
 
@@ -105,3 +106,27 @@ class MemoryLocation:
 
     def __repr__(self) -> str:
         return "MemoryLocation(%{}, size={})".format(self.pointer.name, self.size)
+
+
+def collect_pointer_values(function: Function) -> List[Value]:
+    """Every pointer-typed SSA value of ``function`` (arguments first)."""
+    pointers: List[Value] = []
+    for argument in function.arguments:
+        if argument.type.is_pointer():
+            pointers.append(argument)
+    for inst in function.instructions():
+        if inst.produces_value() and inst.type.is_pointer():
+            pointers.append(inst)
+    return pointers
+
+
+def collect_memory_locations(function: Function,
+                             size: Optional[int] = 1) -> List[MemoryLocation]:
+    """aa-eval's location set of ``function``: one :class:`MemoryLocation`
+    per pointer value, in :func:`collect_pointer_values` order.
+
+    Verdict columns (:meth:`repro.alias.AliasAnalysis.function_column`) are
+    laid out over this list.
+    """
+    return [MemoryLocation(pointer, size)
+            for pointer in collect_pointer_values(function)]

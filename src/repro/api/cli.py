@@ -211,6 +211,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 "instructions": result.instructions,
                 "labels": {label: {
                     "counts": result.evaluation(label).as_dict(),
+                    "resolution": result.resolution(label),
                     "verdicts": result.verdicts(label),
                 } for label in result.labels},
             } for result in results],
@@ -353,6 +354,22 @@ def _print_timings() -> None:
         } for lane, stats in lanes.items()])
 
 
+def _resolution_rows(session, unit, interprocedural: bool):
+    """``(label, resolution counts)`` of the default specs over ``unit``,
+    from verdict columns memoized in the session cache."""
+    from repro.alias.aaeval import evaluate_module, resolution_counts
+    from repro.engine.worker import build_analysis
+    from repro.engine.workunit import DEFAULT_SPECS, spec_label
+
+    with session.config.activate():
+        evaluations = {
+            spec_label(spec): evaluate_module(unit.module, build_analysis(
+                spec, unit.module, session.cache, interprocedural))
+            for spec in DEFAULT_SPECS}
+    return [(label, resolution_counts(label, evaluations))
+            for label in evaluations]
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.api.session import Session
     from repro.rangeanalysis.interval import Interval
@@ -415,6 +432,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for key, value in report.statistics.as_dict().items():
             if key not in ("queries", "solver"):
                 print("  {:24s} {}".format(key, value))
+        print("[resolution]        pairs decided per chain member")
+        for label, counts in _resolution_rows(session, unit, interprocedural):
+            print("  {:24s} {}".format(label, " ".join(
+                "{}={}".format(member, pairs) for member, pairs in counts.items())))
         statistics = session.statistics()
         print("[cache]")
         cache_stats = session.cache.statistics

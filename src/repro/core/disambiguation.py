@@ -29,7 +29,10 @@ the union of the LT sets of its members.  The memoized check
 ``ordered(a, b)  ⇔  names(b) ∩ LT∪(a) ≠ ∅  or  names(a) ∩ LT∪(b) ≠ ∅``
 
 is set-for-set identical to the seed's pairwise loop, so verdicts are
-bit-identical; only the cost per query changes.  Pass ``memoize=False`` to
+bit-identical; only the cost per query changes.  A whole batch is answered
+as a *reason column* (:meth:`PointerDisambiguator.reason_column`) that
+inverts the check: it looks up which pointers own each member of a LT∪
+instead of testing every pair.  Pass ``memoize=False`` to
 get the original recompute-per-query behaviour (the throughput benchmark
 uses it as the baseline), and call :meth:`PointerDisambiguator.invalidate`
 after mutating the IR.
@@ -38,7 +41,8 @@ after mutating the IR.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.api.config import resolved_class_limit
 from repro.core.lessthan.analysis import LessThanAnalysis
@@ -57,6 +61,36 @@ class DisambiguationReason(enum.Enum):
 
     def __bool__(self) -> bool:
         return self is not DisambiguationReason.NONE
+
+
+#: the one-character encoding of each reason in a reason column.
+REASON_CODES = {
+    DisambiguationReason.NONE: "-",
+    DisambiguationReason.POINTERS_ORDERED: "p",
+    DisambiguationReason.INDICES_ORDERED: "i",
+}
+_REASON_OF_CODE = {code: reason for reason, code in REASON_CODES.items()}
+_VERDICT_OF_REASON = str.maketrans({"-": "M", "p": "N", "i": "N"})
+_NONE, _ORDERED, _INDEXED = (ord(code) for code in "-pi")
+
+
+def _mark_ordered(column: bytearray, row_base: List[int], members: Iterable[int],
+                  classes, code: int) -> None:
+    """Mark ``code`` on every still-unmarked pair of ``members`` whose
+    classes are ordered: one side's names meet the other side's LT∪."""
+    owners: Dict[Value, List[int]] = {}
+    for k in members:
+        for name in classes[k][0]:
+            owners.setdefault(name, []).append(k)
+    owned = frozenset(owners)
+    for k in members:
+        for name in classes[k][1] & owned:
+            for m in owners[name]:
+                if m == k:
+                    continue
+                position = row_base[k] + m if k < m else row_base[m] + k
+                if column[position] == _NONE:
+                    column[position] = code
 
 
 class DisambiguationStatistics:
@@ -221,9 +255,9 @@ class PointerDisambiguator:
     """Answers "are these two pointers provably different?" questions.
 
     With ``memoize=True`` (the default) per-value tables are filled on first
-    use and reused across the whole O(n²) pair loop;
-    :meth:`disambiguate_pairs` bulk-fills them for a batch up front.
-    ``memoize=False`` restores the seed's recompute-per-query behaviour.
+    use and reused across batches; :meth:`reason_column` answers a whole
+    batch at once.  ``memoize=False`` restores the seed's recompute-per-query
+    behaviour.
     """
 
     def __init__(self, analysis: LessThanAnalysis, memoize: bool = True,
@@ -334,131 +368,72 @@ class PointerDisambiguator:
             return False
         return self._ordered_with_equivalents(index1, index2)
 
-    # -- batched entry point ---------------------------------------------------------------
-    def disambiguate_pairs(self, pointers: List[Value],
-                           pairs: Optional[List[Tuple[int, int]]] = None):
-        """Yield ``(i, j, reason)`` for every unordered pair of ``pointers``.
+    # -- batched entry points ----------------------------------------------------------------
+    def reason_column(self, pointers: Sequence[Value]) -> str:
+        """One :data:`REASON_CODES` character per unordered pair of
+        ``pointers``, in ``(i, j)`` order.
 
-        Verdicts are identical to calling :meth:`disambiguate` pair by pair in
-        the same order; the batch path hoists every per-value table lookup out
-        of the O(n²) loop, leaving only identity checks and frozenset
-        operations per pair.
-
-        ``pairs``, when given, restricts the batch to those ``(i, j)`` index
-        pairs (in the given order) and only builds tables for the pointers
-        they involve — the mask-passing entry point of the chain combinator,
-        which skips pairs an earlier analysis already resolved.
+        Reasons are identical to calling :meth:`disambiguate` pair by pair.
+        The memoized path never loops over pairs: it indexes which pointers
+        carry each SSA name, intersects every pointer's LT∪ with those names
+        and marks only the ordered pairs it finds (then the indices-ordered
+        pairs inside each same-base group), so its cost follows the number
+        of ordered pairs, not n².
         """
         if not TRACER.enabled:
-            return self._disambiguate_pairs(pointers, pairs)
-        # The result is a lazily consumed generator, so a plain ``with``
-        # around it would close the span before any pair is evaluated —
-        # materialize inside the span instead (tracing runs only).
-        with TRACER.span("disambiguate.pairs", pointers=len(pointers),
-                         restricted=pairs is not None) as span:
-            results = list(self._disambiguate_pairs(pointers, pairs))
-            span.annotate(pairs=len(results))
-        return iter(results)
+            return self._reason_column(pointers)
+        with TRACER.span("disambiguate.pairs", pointers=len(pointers)):
+            return self._reason_column(pointers)
 
-    def _disambiguate_pairs(self, pointers: List[Value],
-                            pairs: Optional[List[Tuple[int, int]]] = None):
-        if not self.memoize:
-            if pairs is not None:
-                for i, j in pairs:
-                    yield i, j, self.disambiguate(pointers[i], pointers[j])
-                return
-            for i in range(len(pointers)):
-                for j in range(i + 1, len(pointers)):
-                    yield i, j, self.disambiguate(pointers[i], pointers[j])
-            return
-        if pairs is not None:
-            yield from self._disambiguate_pair_subset(pointers, pairs)
-            return
+    def no_alias_column(self, pointers: Sequence[Value]) -> str:
+        """:meth:`reason_column` as alias verdict codes (``N`` or ``M``)."""
+        return self.reason_column(pointers).translate(_VERDICT_OF_REASON)
+
+    def disambiguate_pairs(self, pointers: Sequence[Value]) \
+            -> Iterator[Tuple[int, int, DisambiguationReason]]:
+        """Yield ``(i, j, reason)`` for every unordered pair of ``pointers``,
+        decoded from :meth:`reason_column`."""
+        column = self.reason_column(pointers)
+        position = 0
+        for i in range(len(pointers)):
+            for j in range(i + 1, len(pointers)):
+                yield i, j, _REASON_OF_CODE[column[position]]
+                position += 1
+
+    def _reason_column(self, pointers: Sequence[Value]) -> str:
         count = len(pointers)
-        canon = [self._canonical_of(p) for p in pointers]
-        classes = [self._class_info(p) for p in pointers]
-        decomps = [self._decompose(p) for p in pointers]
-        index_class: List[Optional[Tuple[FrozenSet[Value], FrozenSet[Value]]]] = []
-        base_canon: List[Optional[Value]] = []
-        for base, index in decomps:
-            if index is not None and _is_variable(index):
-                base_canon.append(self._canonical_of(base))
-                index_class.append(self._class_info(index))
-            else:
-                # Constant or missing index: criterion 2 never applies.
-                base_canon.append(None)
-                index_class.append(None)
-        none = DisambiguationReason.NONE
-        ordered = DisambiguationReason.POINTERS_ORDERED
-        indexed = DisambiguationReason.INDICES_ORDERED
-        for i in range(count):
-            canon_i = canon[i]
-            names_i, lt_i = classes[i]
-            base_i = base_canon[i]
-            index_i = index_class[i]
-            for j in range(i + 1, count):
-                self.statistics.queries += 1
-                if canon_i is canon[j]:
-                    yield i, j, none
-                    continue
-                names_j, lt_j = classes[j]
-                if not names_j.isdisjoint(lt_i) or not names_i.isdisjoint(lt_j):
-                    yield i, j, ordered
-                    continue
-                index_j = index_class[j]
-                if (index_i is not None and index_j is not None
-                        and base_i is base_canon[j]):
-                    idx_names_i, idx_lt_i = index_i
-                    idx_names_j, idx_lt_j = index_j
-                    if (not idx_names_j.isdisjoint(idx_lt_i)
-                            or not idx_names_i.isdisjoint(idx_lt_j)):
-                        yield i, j, indexed
-                        continue
-                yield i, j, none
-
-    def _disambiguate_pair_subset(self, pointers: List[Value],
-                                  pairs: List[Tuple[int, int]]):
-        """The masked batch: tables only for the indices ``pairs`` mention."""
-        involved = sorted({index for pair in pairs for index in pair})
-        canon: Dict[int, Value] = {}
-        classes: Dict[int, Tuple[FrozenSet[Value], FrozenSet[Value]]] = {}
-        base_canon: Dict[int, Optional[Value]] = {}
-        index_class: Dict[int, Optional[Tuple[FrozenSet[Value], FrozenSet[Value]]]] = {}
-        for k in involved:
-            pointer = pointers[k]
-            canon[k] = self._canonical_of(pointer)
-            classes[k] = self._class_info(pointer)
+        if not self.memoize:
+            return "".join(
+                REASON_CODES[self.disambiguate(pointers[i], pointers[j])]
+                for i in range(count) for j in range(i + 1, count))
+        self.statistics.queries += count * (count - 1) // 2
+        column = bytearray([_NONE]) * (count * (count - 1) // 2)
+        # Pair (i, j) sits at row_base[i] + j.
+        row_base = [i * (count - 1) - i * (i - 1) // 2 - i - 1
+                    for i in range(count)]
+        classes = [self._class_info(pointer) for pointer in pointers]
+        _mark_ordered(column, row_base, range(count), classes, _ORDERED)
+        # Criterion 2 within each group of variable-index pointers that
+        # share a canonical base.
+        bases: Dict[Value, List[int]] = {}
+        index_classes: Dict[int, Tuple[FrozenSet[Value], FrozenSet[Value]]] = {}
+        for k, pointer in enumerate(pointers):
             base, index = self._decompose(pointer)
             if index is not None and _is_variable(index):
-                base_canon[k] = self._canonical_of(base)
-                index_class[k] = self._class_info(index)
-            else:
-                base_canon[k] = None
-                index_class[k] = None
-        none = DisambiguationReason.NONE
-        ordered = DisambiguationReason.POINTERS_ORDERED
-        indexed = DisambiguationReason.INDICES_ORDERED
-        for i, j in pairs:
-            self.statistics.queries += 1
-            if canon[i] is canon[j]:
-                yield i, j, none
-                continue
-            names_i, lt_i = classes[i]
-            names_j, lt_j = classes[j]
-            if not names_j.isdisjoint(lt_i) or not names_i.isdisjoint(lt_j):
-                yield i, j, ordered
-                continue
-            index_i = index_class[i]
-            index_j = index_class[j]
-            if (index_i is not None and index_j is not None
-                    and base_canon[i] is base_canon[j]):
-                idx_names_i, idx_lt_i = index_i
-                idx_names_j, idx_lt_j = index_j
-                if (not idx_names_j.isdisjoint(idx_lt_i)
-                        or not idx_names_i.isdisjoint(idx_lt_j)):
-                    yield i, j, indexed
-                    continue
-            yield i, j, none
+                bases.setdefault(self._canonical_of(base), []).append(k)
+                index_classes[k] = self._class_info(index)
+        for members in bases.values():
+            if len(members) > 1:
+                _mark_ordered(column, row_base, members, index_classes, _INDEXED)
+        # Two names of one canonical value are never disjoint.
+        canonical: Dict[Value, List[int]] = {}
+        for k, pointer in enumerate(pointers):
+            canonical.setdefault(self._canonical_of(pointer), []).append(k)
+        for members in canonical.values():
+            for position, i in enumerate(members):
+                for j in members[position + 1:]:
+                    column[row_base[i] + j] = _NONE
+        return column.decode("ascii")
 
     # -- main entry point -----------------------------------------------------------------
     def disambiguate(self, p1: Value, p2: Value) -> DisambiguationReason:

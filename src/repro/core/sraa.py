@@ -15,15 +15,20 @@ piece of preparation (range analyses, e-SSA conversion, the constraint
 solve, the disambiguator's per-value tables) is fetched from the shared
 cache, so evaluating the same module repeatedly — or under several chained
 configurations — computes each analysis exactly once.
+
+Batched queries produce the LT *verdict column* of a function directly from
+the disambiguator's full-batch reason column (one ``str.translate``), which
+is what the ``aa-eval`` harness and the ``BA + LT`` chain consume; the
+per-pair :meth:`StrictInequalityAliasAnalysis.alias` is the reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.alias.interface import AliasAnalysis
 from repro.alias.results import AliasResult, MemoryLocation
-from repro.core.disambiguation import DisambiguationReason, PointerDisambiguator
+from repro.core.disambiguation import PointerDisambiguator
 from repro.core.lessthan.analysis import LessThanAnalysis
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -95,39 +100,20 @@ class StrictInequalityAliasAnalysis(AliasAnalysis):
             return AliasResult.NO_ALIAS
         return AliasResult.MAY_ALIAS
 
-    def alias_many(self, locations, mask=None):
-        """Batched queries through :meth:`PointerDisambiguator.disambiguate_pairs`.
-
-        One table lookup per location instead of per pair; verdicts are
-        identical to issuing :meth:`alias` pair by pair.  ``mask`` restricts
-        the batch to the given ``(i, j)`` pairs (see
-        :meth:`AliasAnalysis.alias_many`); the chain combinator uses it so the
-        LT set operations are skipped for pairs basicaa already resolved.
-        """
+    def alias_column(self, locations: Sequence[MemoryLocation]) -> str:
+        """The LT column: :meth:`PointerDisambiguator.no_alias_column` over
+        the batch's pointers, identical to :meth:`alias` pair by pair."""
         if not locations:
-            return
+            return ""
         disambiguators = [self._disambiguator_for(location) for location in locations]
         disambiguator = disambiguators[0]
         if any(d is not disambiguator for d in disambiguators):
-            # Mixed-function batches fall back to the generic pairwise path.
-            yield from super().alias_many(locations, mask)
-            return
+            # Mixed-function batches fall back to the pairwise reference.
+            return super().alias_column(locations)
         if disambiguator is None:
-            if mask is not None:
-                for i, j in mask:
-                    yield i, j, AliasResult.MAY_ALIAS
-                return
-            for i in range(len(locations)):
-                for j in range(i + 1, len(locations)):
-                    yield i, j, AliasResult.MAY_ALIAS
-            return
-        pointers = [location.pointer for location in locations]
-        pairs = list(mask) if mask is not None else None
-        no_alias = AliasResult.NO_ALIAS
-        may_alias = AliasResult.MAY_ALIAS
-        none = DisambiguationReason.NONE
-        for i, j, reason in disambiguator.disambiguate_pairs(pointers, pairs):
-            yield i, j, (may_alias if reason is none else no_alias)
+            return "M" * (len(locations) * (len(locations) - 1) // 2)
+        return disambiguator.no_alias_column(
+            [location.pointer for location in locations])
 
     # -- introspection ---------------------------------------------------------------------
     @property

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
 from repro.api import config as api_config
-from repro.alias.aaeval import AliasEvaluation
+from repro.alias.aaeval import AliasEvaluation, resolution_counts
 from repro.core.disambiguation import DisambiguationStatistics
 from repro.engine import worker as worker_module
 from repro.engine.store import AnalysisStore
@@ -108,6 +108,13 @@ class UnitResult:
     @property
     def labels(self) -> List[str]:
         return list(self.payload.get("labels", {}))
+
+    def resolution(self, label: str) -> Dict[str, int]:
+        """Pairs decided by each member of spec ``label``, plus the pairs
+        it leaves unresolved (:func:`~repro.alias.aaeval.resolution_counts`
+        over this unit's labels)."""
+        return resolution_counts(
+            label, {name: self.evaluation(name) for name in self.labels})
 
     def verdicts(self, label: str) -> Dict[str, str]:
         """Per-function verdict code strings (bit-identity comparisons)."""

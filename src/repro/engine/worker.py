@@ -106,12 +106,28 @@ def _member_analysis(member: str, module: Module, cache: FunctionAnalysisCache,
     raise KeyError("unknown analysis spec member {!r}".format(member))
 
 
+def mode_suffix(interprocedural: bool) -> str:
+    """The suffix that keeps intraprocedural memo keys apart from the
+    interprocedural ones (the two modes give different LT facts)."""
+    return "" if interprocedural else "#intra"
+
+
 def build_analysis(spec: Sequence[str], module: Module,
                    cache: FunctionAnalysisCache,
-                   interprocedural: bool = True) -> AliasAnalysis:
-    """Instantiate one analysis configuration (a member or a chain)."""
+                   interprocedural: bool = True,
+                   memoize_columns: bool = True) -> AliasAnalysis:
+    """Instantiate one analysis configuration (a member or a chain).
+
+    With ``memoize_columns`` every member memoizes its verdict columns in
+    ``cache`` under its member name plus :func:`mode_suffix`, so the chain
+    ``basicaa+lt`` merges the very columns the ``basicaa`` and ``lt`` specs
+    computed instead of querying either member again.
+    """
     members = [_member_analysis(member, module, cache, interprocedural)
                for member in spec]
+    if memoize_columns:
+        for name, member in zip(spec, members):
+            member.memoize_columns(cache, name + mode_suffix(interprocedural))
     if len(members) == 1:
         return members[0]
     return AliasAnalysisChain(members, name=spec_label(spec))
@@ -165,10 +181,10 @@ def evaluate_module_functions(module: Module,
     subprocesses).  Returns the payload described in the module docstring.
 
     ``memoize_evaluations=False`` disables the per-(function, label) payload
-    memo on the cache, so repeated calls re-run the query loop over the
-    (still memoized) analyses — what a throughput measurement of the query
-    engine itself wants.  With a store the memo is always on: warm-loading
-    is what the store is for.
+    and verdict-column memos on the cache, so repeated calls re-run the query
+    loop over the (still memoized) analyses — what a throughput measurement
+    of the query engine itself wants.  With a store the memo is always on:
+    warm-loading is what the store is for.
     """
     if store is not None:
         memoize_evaluations = True
@@ -181,7 +197,7 @@ def evaluate_module_functions(module: Module,
     # the same IR, so the mode must be part of every memoization key — both
     # the persistent one (function_key below) and the in-process cache's.
     # User-facing payload labels stay undecorated.
-    mode_suffix = "" if interprocedural else "#intra"
+    suffix = mode_suffix(interprocedural)
 
     # Content addresses, computed before any conversion mutates the IR.
     keys: Dict[Tuple[str, str], str] = {}
@@ -203,7 +219,7 @@ def evaluate_module_functions(module: Module,
             for label in labels:
                 fingerprint = scope_fingerprint(
                     scopes[label], function.name, module_hash, prints)
-                key = function_key(label + mode_suffix, function_text, fingerprint)
+                key = function_key(label + suffix, function_text, fingerprint)
                 keys[(function.name, label)] = key
                 payload = store.get(key)
                 # Per-kind hit accounting: the "fingerprint" row of the
@@ -211,7 +227,7 @@ def evaluate_module_functions(module: Module,
                 # store lookups — what the churn benchmark gates on.
                 cache.statistics.record("fingerprint", payload is not None)
                 if payload is not None:
-                    cache.put_evaluation(function, label + mode_suffix, payload)
+                    cache.put_evaluation(function, label + suffix, payload)
         store_hits = store.hits - hits_before
         store_misses = store.misses - misses_before
     else:
@@ -224,7 +240,7 @@ def evaluate_module_functions(module: Module,
     label_payloads: Dict[str, Dict[str, object]] = {}
     for spec in specs:
         label = spec_label(spec)
-        cache_label = label + mode_suffix
+        cache_label = label + suffix
         merged = AliasEvaluation()
         verdicts: Dict[str, str] = {}
         for function in functions:
@@ -240,8 +256,9 @@ def evaluate_module_functions(module: Module,
                         cache.ensure_essa(defined)
                     prepared = True
                 if label not in analyses:
-                    analyses[label] = build_analysis(spec, module, cache,
-                                                     interprocedural)
+                    analyses[label] = build_analysis(
+                        spec, module, cache, interprocedural,
+                        memoize_columns=memoize_evaluations)
                 analysis = analyses[label]
                 if record_verdicts:
                     evaluation, codes = evaluate_function_verdicts(function, analysis)

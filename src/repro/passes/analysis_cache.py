@@ -14,7 +14,10 @@ function:
 * :class:`LessThanAnalysis` per function and per module (keyed on the
   interprocedural flag),
 * the :class:`~repro.core.disambiguation.PointerDisambiguator` per analysis,
-  so its per-value tables survive across evaluation rounds.
+  so its per-value tables survive across evaluation rounds,
+* evaluation payloads per (function, spec label) and verdict columns per
+  (function, member label), so a chain such as ``basicaa+lt`` merges the
+  ``basicaa`` and ``lt`` columns instead of re-querying them.
 
 Invalidation is explicit: after mutating a function, call
 :meth:`FunctionAnalysisCache.invalidate` with it (module-level entries built
@@ -127,7 +130,8 @@ class RefreshResult:
         self.clean = clean
         #: function names present in the previous snapshot only.
         self.removed = removed
-        #: evaluation payloads carried over to the new function objects.
+        #: evaluation payloads carried over to the new function objects
+        #: (verdict columns migrate alongside, uncounted).
         self.migrated = migrated
 
     def __repr__(self) -> str:
@@ -156,6 +160,10 @@ class FunctionAnalysisCache:
         #: per-function label index over ``_evaluations`` so invalidation
         #: touches only that function's entries instead of scanning them all.
         self._function_evaluations: Dict[Function, Set[str]] = {}
+        #: verdict columns of alias-analysis members, indexed the same way;
+        #: they share the payloads' invalidation and refresh migration.
+        self._columns: Dict[Tuple[Function, str], str] = {}
+        self._function_columns: Dict[Function, Set[str]] = {}
         #: previous-compile range analyses, consumed by :meth:`ranges` to run
         #: an incremental re-solve instead of a cold one (see ``refresh``).
         self._range_hints: Dict[Function, RangeAnalysis] = {}
@@ -315,6 +323,26 @@ class FunctionAnalysisCache:
     def evaluation_count(self) -> int:
         return len(self._evaluations)
 
+    # -- verdict columns -------------------------------------------------------------
+    def get_column(self, function: Function, label: str) -> Optional[str]:
+        """The memoized verdict column of ``(function, label)``, if any.
+
+        See :meth:`repro.alias.AliasAnalysis.memoize_columns`; ``label`` is a
+        member label in the engine's cache-label form (``lt``,
+        ``lt#intra``, ...), so :meth:`refresh` migrates it by the same
+        fingerprint scope as an evaluation payload of that label.
+        """
+        cached = self._columns.get((function, label))
+        self.statistics.record("column", hit=cached is not None)
+        return cached
+
+    def put_column(self, function: Function, label: str, column: str) -> None:
+        self._columns[(function, label)] = column
+        self._function_columns.setdefault(function, set()).add(label)
+
+    def column_count(self) -> int:
+        return len(self._columns)
+
     # -- invalidation -----------------------------------------------------------------
     def _drop_function_entries(self, function: Function) -> None:
         # Live analysis objects only: evaluation payloads are content-addressed
@@ -326,20 +354,27 @@ class FunctionAnalysisCache:
         self._function_lessthan.pop(function, None)
         self._function_disambiguators.pop(function, None)
 
+    def _label_tables(self):
+        """The (function, label)-keyed tables with their label indexes."""
+        return ((self._evaluations, self._function_evaluations),
+                (self._columns, self._function_columns))
+
     def _drop_function_evaluations(self, function: Function) -> None:
         # The per-function label index makes this O(entries for *this*
         # function); the old full-table scan cost O(all entries) per
         # invalidation, quadratic over a churn session.
-        for label in self._function_evaluations.pop(function, ()):
-            self._evaluations.pop((function, label), None)
+        for table, index in self._label_tables():
+            for label in index.pop(function, ()):
+                table.pop((function, label), None)
 
     def _drop_one_evaluation(self, function: Function, label: str) -> None:
-        self._evaluations.pop((function, label), None)
-        labels = self._function_evaluations.get(function)
-        if labels is not None:
-            labels.discard(label)
-            if not labels:
-                del self._function_evaluations[function]
+        for table, index in self._label_tables():
+            table.pop((function, label), None)
+            labels = index.get(function)
+            if labels is not None:
+                labels.discard(label)
+                if not labels:
+                    del index[function]
 
     def invalidate(self, function: Optional[Function] = None) -> None:
         """Drop cached state for ``function`` (or everything, when ``None``).
@@ -363,8 +398,9 @@ class FunctionAnalysisCache:
             self._module_lessthan.clear()
             self._function_disambiguators.clear()
             self._module_disambiguators.clear()
-            self._evaluations.clear()
-            self._function_evaluations.clear()
+            for table, index in self._label_tables():
+                table.clear()
+                index.clear()
             self._range_hints.clear()
             self._pre_ranges.clear()
             self._pre_range_hints.clear()
@@ -401,7 +437,7 @@ class FunctionAnalysisCache:
         The first call per module name records a baseline (every function
         reported dirty).  Later calls classify each function by its own-IR
         hash, then for every *clean* function migrate each evaluation payload
-        whose fingerprint scope (see
+        and verdict column whose fingerprint scope (see
         :func:`repro.engine.workunit.label_fingerprint_scope`) is unchanged
         onto the new compile's function object — region-scoped entries
         survive edits outside ``{function} ∪ transitive callers``,
@@ -443,7 +479,9 @@ class FunctionAnalysisCache:
             old_function = previous.functions.get(name)
             if old_function is None:
                 continue
-            for label in sorted(self._function_evaluations.get(old_function, ())):
+            labels = set(self._function_evaluations.get(old_function, ()))
+            labels.update(self._function_columns.get(old_function, ()))
+            for label in sorted(labels):
                 scope = label_fingerprint_scope(label)
                 if scope == "module":
                     valid = previous.module_hash == module_hash
@@ -459,10 +497,15 @@ class FunctionAnalysisCache:
                         # *current* object and must go.
                         self._drop_one_evaluation(old_function, label)
                     continue
+                if old_function is functions[name]:
+                    continue
                 payload = self._evaluations.get((old_function, label))
-                if payload is not None and old_function is not functions[name]:
+                if payload is not None:
                     self.put_evaluation(functions[name], label, payload)
                     migrated += 1
+                column = self._columns.get((old_function, label))
+                if column is not None:
+                    self.put_column(functions[name], label, column)
 
         # Previous-compile range analyses become incremental-re-solve seeds
         # for the new objects; for clean functions the solver reuses every

@@ -288,6 +288,7 @@ class RangeAnalysis:
         #: function: components whose structure and external inputs are
         #: unchanged copy its intervals instead of re-solving (incremental
         #: re-solve, bit-identical to a fresh solve — see :meth:`_try_reuse`).
+        #: Released once the solve finishes.
         self.previous = previous
         self._schedule = None
         self._reuse_table: Optional[Dict[tuple, List[tuple]]] = None
@@ -297,6 +298,9 @@ class RangeAnalysis:
         with TRACER.timer("range.solve", fn=function.name,
                           solver=self.solver, order=self.order) as timer:
             self._run()
+        # Only the solve reads the previous analysis; keeping it would chain
+        # every generation of an edited function to all earlier ones.
+        self.previous = None
         self.statistics.solve_time_seconds = timer.seconds
 
     # -- public API ---------------------------------------------------------------

@@ -114,3 +114,29 @@ def test_function_without_pointers_yields_no_queries():
     evaluation = evaluate_function(f, BasicAliasAnalysis())
     assert evaluation.total_queries == 0
     assert evaluation.no_alias_ratio == 0.0
+
+
+def _evaluation(codes):
+    from repro.alias import AliasEvaluation
+
+    return AliasEvaluation.from_codes(codes)
+
+
+def test_from_codes_counts_every_verdict():
+    evaluation = _evaluation("NNMPUM")
+    assert (evaluation.no_alias, evaluation.may_alias,
+            evaluation.partial_alias, evaluation.must_alias) == (2, 2, 1, 1)
+
+
+def test_resolution_counts_follow_prefix_labels():
+    from repro.alias.aaeval import resolution_counts
+
+    evaluations = {"a": _evaluation("NMMMMM"), "a+b": _evaluation("NNUMMM"),
+                   "a+b+c": _evaluation("NNUNMM")}
+    assert resolution_counts("a+b+c", evaluations) == {
+        "a": 1, "b": 2, "c": 1, "unresolved": 2}
+    # Without the a+b prefix, b and c are reported together.
+    del evaluations["a+b"]
+    assert resolution_counts("a+b+c", evaluations) == {
+        "a": 1, "b+c": 3, "unresolved": 2}
+    assert resolution_counts("a", evaluations) == {"a": 1, "unresolved": 5}

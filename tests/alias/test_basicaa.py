@@ -100,3 +100,40 @@ def test_overlapping_windows_partial_alias():
     wide = MemoryLocation(at0, size=4)
     narrow = MemoryLocation(at1, size=1)
     assert ba.alias(wide, narrow) is AliasResult.PARTIAL_ALIAS
+
+
+def test_distinct_object_rules_for_every_kind_pair():
+    """The rule table for pointers into two different objects, written out
+    independently of the analysis: NoAlias when either is null, when both
+    are identified objects (global, alloca, malloc), or when a local
+    allocation meets a pointer from an argument, a load or a call."""
+    module = Module("kinds")
+    int_ptr = pointer_to(INT)
+    source = module.create_function("source", int_ptr, [])
+    f = module.create_function("f", INT, [int_ptr, pointer_to(int_ptr)],
+                               ["p", "pp"])
+    builder = IRBuilder(f.append_block(name="entry"))
+    objects = {
+        "null": NullPointer(int_ptr),
+        "global": module.add_global(INT, "g"),
+        "alloca": builder.alloca(INT, "stack", array_size=builder.const(4)),
+        "malloc": builder.malloc(INT, builder.const(4), "heap"),
+        "argument": f.arguments[0],
+        "load": builder.load(f.arguments[1], "loaded"),
+        "call": builder.call(source, [], "called"),
+        "phi": builder.phi(int_ptr, "merged"),
+    }
+    identified = {"global", "alloca", "malloc"}
+    local = {"alloca", "malloc"}
+    escaped = {"argument", "load", "call"}
+    ba = BasicAliasAnalysis()
+    for kind_a, value_a in objects.items():
+        for kind_b, value_b in objects.items():
+            if kind_a == kind_b:
+                continue
+            no_alias = ("null" in (kind_a, kind_b)
+                        or {kind_a, kind_b} <= identified
+                        or (kind_a in local and kind_b in escaped)
+                        or (kind_b in local and kind_a in escaped))
+            expected = AliasResult.NO_ALIAS if no_alias else AliasResult.MAY_ALIAS
+            assert ba.alias_values(value_a, value_b) is expected, (kind_a, kind_b)

@@ -59,6 +59,13 @@ def test_eval_json_matches_in_process_verdicts(source_file, capsys):
         assert unit["labels"][label]["verdicts"] == expected.verdicts(label)
         assert (unit["labels"][label]["counts"]
                 == expected.evaluation(label).as_dict())
+        assert (unit["labels"][label]["resolution"]
+                == expected.resolution(label))
+    chain = unit["labels"]["basicaa+lt"]
+    assert set(chain["resolution"]) == {"basicaa", "lt", "unresolved"}
+    assert sum(chain["resolution"].values()) == chain["counts"]["queries"]
+    assert (chain["resolution"]["unresolved"]
+            == chain["counts"]["may_alias"])
 
 
 def test_eval_table_and_csv(source_file, tmp_path, capsys):
@@ -97,6 +104,12 @@ def test_stats_smoke(source_file, capsys):
     assert "[less-than solver]" in out
     assert "constraints" in out
     assert "no_alias_ratio" in out
+    assert "[resolution]" in out
+    resolution = [line.split() for line in out.splitlines()
+                  if line.strip().startswith("basicaa+lt ")]
+    assert resolution and resolution[0][1].startswith("basicaa=")
+    assert resolution[0][2].startswith("lt=")
+    assert resolution[0][3].startswith("unresolved=")
 
 
 def test_store_info_evict_clear(source_file, tmp_path, capsys):

@@ -113,3 +113,25 @@ def test_stats_cli_reports_fingerprint_section(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[fingerprints]" in out
     assert "call_edges" in out
+
+
+def test_edits_release_earlier_generations():
+    """Each edit's range analyses are seeded from the previous generation's;
+    once solved they must not keep that generation (and, through it, every
+    earlier one) alive."""
+    import gc
+    import weakref
+
+    sources = [BASE.replace("v[i + 1] + 1", "v[i + 1] + {}".format(k))
+               for k in range(1, 5)]
+    with Session() as session:
+        session.update_source("m", sources[0], SPECS)
+        session.update_source("m", sources[1], SPECS)
+        generation = [weakref.ref(analysis) for analysis in
+                      list(session.cache._ranges.values())
+                      + list(session.cache._pre_ranges.values())]
+        assert generation
+        session.update_source("m", sources[2], SPECS)
+        session.update_source("m", sources[3], SPECS)
+        gc.collect()
+        assert [ref for ref in generation if ref() is not None] == []

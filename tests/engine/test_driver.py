@@ -220,6 +220,40 @@ def test_memoize_evaluations_off_reruns_queries():
     # shared (memoized) analyses — and the results agree.
     assert cache.evaluation_count() == 0
     assert second.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
+    assert cache.column_count() == 0
+
+
+def test_chain_merges_the_member_columns_of_the_same_run():
+    module = compile_source(SOURCE, module_name="prog")
+    cache = FunctionAnalysisCache()
+    result = evaluate_module(module, specs=SPECS, cache=cache, store=False)
+    functions = list(module.defined_functions())
+    # basicaa and lt columns for every function, and nothing else: the
+    # chain built none of its own.
+    assert cache.column_count() == 2 * len(functions)
+    # Each pair was put to the LT disambiguator once (by the lt spec), not
+    # a second time for the pairs basicaa left open in basicaa+lt.
+    pairs = result.evaluation("lt").total_queries
+    assert result.statistics.queries == pairs
+
+
+def test_resolution_splits_chain_pairs_by_member():
+    module = compile_source(SOURCE, module_name="prog")
+    result = evaluate_module(module, specs=SPECS, store=False)
+    pairs = result.evaluation("basicaa+lt").total_queries
+    basicaa = result.evaluation("basicaa")
+    chain = result.evaluation("basicaa+lt")
+    resolution = result.resolution("basicaa+lt")
+    assert resolution == {
+        "basicaa": pairs - basicaa.may_alias,
+        "lt": basicaa.may_alias - chain.may_alias,
+        "unresolved": chain.may_alias,
+    }
+    assert resolution["lt"] > 0
+    assert result.resolution("lt") == {
+        "lt": pairs - result.evaluation("lt").may_alias,
+        "unresolved": result.evaluation("lt").may_alias,
+    }
 
 
 def test_store_version_mismatch_recomputes(tmp_path):

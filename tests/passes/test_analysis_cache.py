@@ -145,6 +145,19 @@ def test_invalidate_drops_evaluation_payloads():
     assert cache.evaluation_count() == 0
 
 
+def test_columns_survive_essa_conversion_and_die_on_invalidate():
+    module, function = build_two_index_loop_module()
+    cache = FunctionAnalysisCache()
+    cache.put_column(function, "basicaa", "NM")
+    cache.ensure_essa(function)
+    assert cache.get_column(function, "basicaa") == "NM"
+    cache.invalidate(function)
+    assert cache.get_column(function, "basicaa") is None
+    cache.put_column(function, "lt", "M")
+    cache.invalidate()
+    assert cache.column_count() == 0
+
+
 # -- call-graph-scoped invalidation and refresh ------------------------------------
 
 CHAIN = """
@@ -233,6 +246,28 @@ def test_refresh_region_scope_blocks_caller_edits():
     assert cache.get_evaluation(new_functions["lone"], "lt") == {"codes": "lone"}
     for name in ("a", "b"):
         assert cache.get_evaluation(new_functions[name], "lt") is None
+
+
+def test_refresh_migrates_columns_by_member_scope():
+    # Editing the root c: the region-scoped lt columns of its callees die,
+    # the dependency-scoped basicaa columns of unchanged functions migrate.
+    module, functions = _compile_chain()
+    cache = FunctionAnalysisCache()
+    cache.refresh(module)
+    for name in functions:
+        cache.put_column(functions[name], "lt", "N" + name)
+        cache.put_column(functions[name], "basicaa", "U" + name)
+    edited, new_functions = _compile_chain(CHAIN.replace("z + 3", "z + 9"))
+    result = cache.refresh(edited)
+    assert result.migrated == 0  # the count covers evaluation payloads only
+    assert cache.get_column(new_functions["lone"], "lt") == "Nlone"
+    for name in ("a", "b"):
+        assert cache.get_column(new_functions[name], "lt") is None
+    for name in ("a", "b", "lone"):
+        assert cache.get_column(new_functions[name], "basicaa") == "U" + name
+    assert cache.get_column(new_functions["c"], "basicaa") is None
+    # The previous compile's columns were purged.
+    assert cache.column_count() == 4
 
 
 def test_refresh_module_scope_requires_identical_module():
