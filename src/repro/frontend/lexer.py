@@ -1,8 +1,25 @@
-"""Tokenizer for the mini-C language."""
+"""Tokenizer for the mini-C language.
+
+One compiled master regex recognises every token.  Its alternatives are
+tried in order: a newline, an identifier or keyword, an ASCII integer, a
+``//`` comment, a closed ``/* ... */`` comment, an unclosed ``/*``, the
+operators longest first, the end of the text, and a catch-all bad
+character.  Each alternative may be preceded by blanks (space, tab, carriage
+return), so one match is one token.  Columns are counted from the offset
+where the current line starts.
+
+Two column rules are historical and kept on purpose: a block comment
+restarts column counting at 1 right after its ``*/``, and the ``eof`` token
+after a trailing ``//`` comment takes the column where that comment starts.
+
+Letters and digits are ASCII only.  Any other character, a non-ASCII digit
+such as ``²`` included, raises :class:`LexerError` with its line and column.
+"""
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple
 
 KEYWORDS = {
     "int", "void", "if", "else", "while", "for", "return", "break", "continue",
@@ -41,71 +58,59 @@ class Token(NamedTuple):
         return self.kind == "keyword" and self.text == text
 
 
+# Longer operators first, then one class for the single characters.
+_OPERATOR_PATTERN = "|".join(
+    [re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True) if len(op) > 1]
+    + ["[" + re.escape("".join(op for op in OPERATORS if len(op) == 1)) + "]"])
+
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<newline>\n)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<op>" + _OPERATOR_PATTERN + r")"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
+
+
 def tokenize(source: str) -> List[Token]:
     """Convert ``source`` into a token list terminated by an ``eof`` token."""
     tokens: List[Token] = []
-    line, column = 1, 1
-    index = 0
-    length = len(source)
-
-    def error(message: str) -> LexerError:
-        return LexerError(message, line, column)
-
-    while index < length:
-        ch = source[index]
-        # Whitespace.
-        if ch in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if ch == "\n":
-            index += 1
-            line += 1
-            column = 1
-            continue
-        # Comments.
-        if source.startswith("//", index):
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if source.startswith("/*", index):
-            end = source.find("*/", index + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            skipped = source[index:end + 2]
-            line += skipped.count("\n")
-            index = end + 2
-            column = 1
-            continue
-        # Numbers.
-        if ch.isdigit():
-            start = index
-            while index < length and source[index].isdigit():
-                index += 1
-            text = source[start:index]
-            tokens.append(Token("int", text, line, column))
-            column += len(text)
-            continue
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            text = source[start:index]
+    append = tokens.append
+    line = 1
+    line_start = 0      # offset of column 1 on the current line
+    eof = len(source)   # offset of the eof token
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        start, end = match.span(group)
+        if group == "op":
+            append(Token("op", match[group], line, start - line_start + 1))
+        elif group == "word":
+            text = match[group]
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, column))
-            column += len(text)
-            continue
-        # Operators and punctuation.
-        matched: Optional[str] = None
-        for op in OPERATORS:
-            if source.startswith(op, index):
-                matched = op
-                break
-        if matched is None:
-            raise error("unexpected character {!r}".format(ch))
-        tokens.append(Token("op", matched, line, column))
-        index += len(matched)
-        column += len(matched)
-    tokens.append(Token("eof", "", line, column))
+            append(Token(kind, text, line, start - line_start + 1))
+        elif group == "int":
+            append(Token("int", match[group], line, start - line_start + 1))
+        elif group == "newline":
+            line += 1
+            line_start = end
+        elif group == "end":
+            break
+        elif group == "line_comment":
+            if end == eof:      # eof takes a trailing comment's column
+                eof = start
+        elif group == "block_comment":
+            line += source.count("\n", start, end)
+            line_start = end
+        elif group == "open_comment":
+            raise LexerError("unterminated block comment", line, start - line_start + 1)
+        else:
+            raise LexerError("unexpected character {!r}".format(match[group]),
+                             line, start - line_start + 1)
+    append(Token("eof", "", line, eof - line_start + 1))
     return tokens

@@ -407,7 +407,8 @@ def lower_program(program: ast.Program, module_name: str = "program",
         if promote:
             promote_memory_to_registers(function)
     if verify:
-        verify_module(module)
+        with TRACER.span("ir.verify", module=module_name):
+            verify_module(module)
     return module
 
 

@@ -9,9 +9,11 @@ tests and the frontend run it after building or transforming IR.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from typing import Callable, Dict, List
 
 from repro.ir.basicblock import BasicBlock
+from repro.ir.cfg import ControlFlowGraph
 from repro.ir.dominators import DominatorTree
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction, Jump, Phi, Return
@@ -28,15 +30,25 @@ def _error(message: str) -> None:
     raise VerificationError(message)
 
 
+Predecessors = Dict[BasicBlock, List[BasicBlock]]
+
+
+def _checks(function: Function) -> List[Callable[[], None]]:
+    """Every check of ``function``, in order; they share one predecessor map."""
+    preds = ControlFlowGraph(function).predecessors
+    return [partial(_check_blocks, function, preds),
+            partial(_check_operand_scope, function),
+            partial(_check_phis, function, preds),
+            partial(_check_ssa_dominance, function),
+            partial(_check_unique_names, function)]
+
+
 def verify_function(function: Function) -> None:
     """Check structural and SSA invariants of ``function``."""
     if function.is_declaration():
         return
-    _check_blocks(function)
-    _check_operand_scope(function)
-    _check_phis(function)
-    _check_ssa_dominance(function)
-    _check_unique_names(function)
+    for check in _checks(function):
+        check()
 
 
 def verify_module(module: Module) -> None:
@@ -58,15 +70,18 @@ def function_problems(function: Function) -> List[str]:
     """
     if function.is_declaration():
         return []
+    try:
+        checks = _checks(function)
+    except Exception as exc:  # the shared predecessor map reads every terminator
+        return ["control-flow graph crashed: {}".format(exc)]
     problems: List[str] = []
-    for check in (_check_blocks, _check_operand_scope, _check_phis,
-                  _check_ssa_dominance, _check_unique_names):
+    for check in checks:
         try:
-            check(function)
+            check()
         except VerificationError as exc:
             problems.append(str(exc))
         except Exception as exc:  # a malformed CFG can break the checkers too
-            problems.append("{} crashed: {}".format(check.__name__, exc))
+            problems.append("{} crashed: {}".format(check.func.__name__, exc))
     return problems
 
 
@@ -74,7 +89,7 @@ def function_problems(function: Function) -> List[str]:
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _check_blocks(function: Function) -> None:
+def _check_blocks(function: Function, preds: Predecessors) -> None:
     if function.entry_block is None:
         _error("function has no entry block")
     for block in function.blocks:
@@ -97,7 +112,7 @@ def _check_blocks(function: Function) -> None:
                 _error("block {} branches to a block of another function".format(block.name))
     entry = function.entry_block
     assert entry is not None
-    if entry.predecessors():
+    if preds.get(entry):
         _error("the entry block must not have predecessors")
 
 
@@ -120,9 +135,10 @@ def _check_operand_scope(function: Function) -> None:
                 format_instruction(inst), type(operand).__name__))
 
 
-def _check_phis(function: Function) -> None:
+def _check_phis(function: Function, preds_of: Predecessors) -> None:
     for block in function.blocks:
-        preds = block.predecessors()
+        # One entry per edge; a block reaching this one twice is listed once.
+        preds = list(dict.fromkeys(preds_of.get(block, ())))
         for phi in block.phis():
             incoming_blocks = phi.incoming_blocks
             if len(incoming_blocks) != len(set(id(b) for b in incoming_blocks)):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend import LexerError, ParseError, ast, parse_program, tokenize
+from repro.frontend import LexerError, ParseError, ast, compile_source, parse_program, tokenize
 
 
 def test_tokenize_basic_program():
@@ -32,6 +32,20 @@ def test_tokenize_rejects_garbage():
         tokenize("int a = @;")
     with pytest.raises(LexerError):
         tokenize("/* never closed")
+
+
+@pytest.mark.parametrize("source, character, line, column", [
+    ("int f(void) { return 1\u00b2; }", "\u00b2", 1, 23),   # superscript two
+    ("int f(void) {\n  return \u0663;\n}", "\u0663", 2, 10),  # Arabic-Indic three
+])
+def test_non_ascii_digits_are_lexer_errors(source, character, line, column):
+    # Integer literals are ASCII: a digit such as "²" is a bad character, not
+    # part of a literal that int() would later reject (or silently accept).
+    with pytest.raises(LexerError) as info:
+        compile_source(source)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == "unexpected character {!r} (line {}, column {})".format(
+        character, line, column)
 
 
 def test_parse_function_with_parameters():

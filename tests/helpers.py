@@ -2,12 +2,15 @@
 
 These builders create the small programs that many tests need: a straight
 line function, a diamond CFG, a simple counting loop, the two-pointer loop of
-the paper's introduction and the artificial program of Figure 3.
+the paper's introduction and the artificial program of Figure 3.  They also
+load the benchmark's program generators for the differential tests.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import importlib.util
+import os
+from typing import Iterable, List, Tuple
 
 from repro.ir import (
     Function,
@@ -173,3 +176,20 @@ def build_figure3_module() -> Tuple[Module, Function]:
     x6.add_incoming(x4, check)
     builder.ret(x6)
     return module, function
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def perfbench_sources(seeds: Iterable[int] = range(3)) -> List[Tuple[str, str]]:
+    """``(name, source)`` of every ``spec-mix`` and ``chain-loops`` program of
+    the end-to-end benchmark (``perfbench/workloads.py``) for each seed."""
+    path = os.path.join(_ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sources: List[Tuple[str, str]] = []
+    for seed in seeds:
+        sources.extend(workloads.spec_mix(seed))
+        sources.extend(workloads.chain_loops(seed))
+    return sources

@@ -64,7 +64,7 @@ def test_traced_session_covers_every_pipeline_layer(tmp_path):
     payload = _load_trace(trace)
     assert validate_chrome_trace(payload) == []
     phases = {e["name"] for e in _complete_events(payload)}
-    expected = {"frontend.parse", "frontend.lower", "ir.mem2reg",
+    expected = {"frontend.parse", "frontend.lower", "ir.mem2reg", "ir.verify",
                 "essa.transform", "range.solve", "lt.generate", "lt.solve",
                 "disambiguate.pairs", "engine.unit"}
     assert expected <= phases
