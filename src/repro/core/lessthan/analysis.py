@@ -50,25 +50,13 @@ class LessThanAnalysis:
         When provided, the e-SSA conversion and the per-function range
         analyses are fetched from (and stored into) the cache, so several
         analyses over the same functions share one computation.
-    solver_strategy:
-        Worklist scheduling of the constraint solver: ``"sparse"``
-        (variable-keyed, the default) or ``"constraint"`` (the legacy
-        constraint-keyed scheme).  ``None`` defers to ``REPRO_LT_SOLVER``.
-        Both reach the same fixed point; the knob exists for differential
-        tests and the solver hot-path benchmark.
-    worklist_order:
-        Pop-order policy of the sparse strategy (``"fifo"``/``"scc"``/
-        ``"loopdepth"``); ``None`` defers to ``REPRO_WORKLIST_ORDER``.
     """
 
     def __init__(self, subject: Union[Function, Module], build_essa: bool = True,
-                 interprocedural: bool = True, cache: Optional[object] = None,
-                 solver_strategy: Optional[str] = None,
-                 worklist_order: Optional[str] = None) -> None:
+                 interprocedural: bool = True,
+                 cache: Optional[object] = None) -> None:
         self.subject = subject
         self.cache = cache
-        self.solver_strategy = solver_strategy
-        self.worklist_order = worklist_order
         self.functions: List[Function] = (
             [subject] if isinstance(subject, Function)
             else [f for f in subject.functions if not f.is_declaration()]
@@ -107,8 +95,7 @@ class LessThanAnalysis:
             else:
                 self.constraints = generator.generate_for_function(self.subject)
             span.annotate(constraints=len(self.constraints))
-        solver = ConstraintSolver(self.constraints, strategy=self.solver_strategy,
-                                  order=self.worklist_order)
+        solver = ConstraintSolver(self.constraints)
         self.lt_sets = solver.solve()
         self.statistics = solver.statistics
 

@@ -6,98 +6,51 @@ never materialise the full set).  Constraints are then re-evaluated until a
 fixed point; by Lemma 3.6 of the paper the sets only shrink, so termination
 is guaranteed by the finiteness of the lattice.
 
-Two scheduling strategies reach that fixed point (the solution is the same —
-the descending chaotic iteration of a monotone system converges to one fixed
-point regardless of evaluation order, which the differential tests assert):
-
-* ``sparse`` (the default) — the worklist is keyed by **variable**: after a
-  seed pass that evaluates every constraint once, only the dependents of a
-  variable whose LT set actually shrank are re-evaluated.  Multiple changes
-  to the same variable coalesce into one pending entry, so a constraint is
-  revisited once per batch of source changes rather than once per change.
-* ``constraint`` — the legacy scheme: the worklist holds whole constraints
-  and a change re-pushes every dependent constraint individually.
-
-The sparse strategy's pop order is a swappable policy shared with the range
-solver (``order`` constructor argument / ``REPRO_WORKLIST_ORDER``): ``fifo``
-is the legacy queue, ``scc`` pops variables in the condensation
-(topological SCC) order of the constraint dependency graph — sources before
-the variables they constrain, so each variable tends to see all its inputs
-settled before it is revisited — and ``loopdepth`` falls back to the
-``scc`` ranks (constraints carry no loop structure).  The fixed point is
-the same under every policy (descending iteration on a finite lattice);
-only the visit counts differ.
+The worklist holds whole constraints: a seed pass queues every constraint
+once, and whenever a constraint shrinks the LT set of its target, every
+constraint that reads that variable is queued again (a constraint already
+pending is not queued twice).  The descending chaotic iteration of this
+monotone system converges to one fixed point regardless of evaluation
+order.
 
 The solver records the statistics the paper reports in Section 4.2: number
 of constraints, number of constraint (re-)evaluations, and the
 visits-per-constraint ratio (the paper measures about 2.1 visits per
 constraint over SPEC plus the LLVM test suite, which is the observation
-backing the "linear in practice" claim).  The sparse strategy additionally
-records variable pops, coalesced pushes and the resulting skip ratio, which
-quantify the work the dependents-only scheme avoids.
+backing the "linear in practice" claim).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Sequence
 
-from repro.api.config import (
-    ConfigError,
-    LT_SOLVERS,
-    resolved_lt_solver,
-    resolved_worklist_order,
-)
 from repro.core.lessthan.constraints import Constraint, LTState, TOP
 from repro.ir.values import Value
 from repro.obs import TRACER
-from repro.rangeanalysis.graph import strongly_connected_components
-from repro.util.worklist import (
-    PriorityWorklist,
-    SolverInfo,
-    Worklist,
-    validate_order,
-)
-
-
-def default_lt_solver() -> str:
-    """The configured strategy (default ``sparse``).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_LT_SOLVER`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there instead of silently
-    falling back.
-    """
-    return resolved_lt_solver()
+from repro.util.worklist import SolverInfo, Worklist
 
 
 class SolverStatistics:
     """Counters describing one constraint-solving run.
 
-    ``worklist_pops`` counts constraint evaluations in both strategies (the
-    paper's "visits per constraint" metric); ``variable_pops`` and
-    ``coalesced_pushes`` are only non-zero under the sparse strategy.
+    ``worklist_pops`` counts constraint evaluations (the paper's "visits per
+    constraint" metric).
     """
 
     def __init__(self) -> None:
         self.constraint_count = 0
         self.variable_count = 0
         self.worklist_pops = 0
-        self.variable_pops = 0
-        self.coalesced_pushes = 0
         self.solve_time_seconds = 0.0
-        self.order = "fifo"
 
     def solver_info(self) -> SolverInfo:
         """These counters as a mergeable cross-solver :class:`SolverInfo`.
 
-        Constraint evaluations map onto ``evaluations`` (there is no widening
-        on the finite LT lattice); variable pops are keyed by the ordering
-        policy that served them.
+        Every pop is one constraint evaluation (there is no widening on the
+        finite LT lattice).
         """
-        info = SolverInfo(evaluations=self.worklist_pops)
-        info.record_pops(self.order, self.variable_pops)
-        return info
+        return SolverInfo(evaluations=self.worklist_pops,
+                          pops=self.worklist_pops)
 
     @property
     def pops_per_constraint(self) -> float:
@@ -105,26 +58,13 @@ class SolverStatistics:
             return 0.0
         return self.worklist_pops / self.constraint_count
 
-    @property
-    def skip_ratio(self) -> float:
-        """Fraction of scheduling requests absorbed by an already-pending
-        variable — re-evaluations the constraint-keyed scheme would have run."""
-        attempted = self.coalesced_pushes + self.variable_pops
-        if attempted == 0:
-            return 0.0
-        return self.coalesced_pushes / attempted
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "constraints": self.constraint_count,
             "variables": self.variable_count,
             "worklist_pops": self.worklist_pops,
             "pops_per_constraint": self.pops_per_constraint,
-            "variable_pops": self.variable_pops,
-            "coalesced_pushes": self.coalesced_pushes,
-            "skip_ratio": self.skip_ratio,
             "solve_time_seconds": self.solve_time_seconds,
-            "order": self.order,
         }
 
     def __repr__(self) -> str:
@@ -135,17 +75,9 @@ class SolverStatistics:
 class ConstraintSolver:
     """Solves a system of less-than constraints to a fixed point."""
 
-    def __init__(self, constraints: Sequence[Constraint],
-                 strategy: Optional[str] = None,
-                 order: Optional[str] = None) -> None:
+    def __init__(self, constraints: Sequence[Constraint]) -> None:
         self.constraints: List[Constraint] = list(constraints)
-        self.strategy = strategy or default_lt_solver()
-        if self.strategy not in LT_SOLVERS:
-            raise ConfigError("lt_solver={!r} is not one of {}".format(
-                self.strategy, "/".join(LT_SOLVERS)))
-        self.order = validate_order(order or resolved_worklist_order())
         self.statistics = SolverStatistics()
-        self.statistics.order = self.order
         # Dependency map: which constraints must be re-evaluated when the LT
         # set of a given variable changes.
         self._dependents: Dict[Value, List[Constraint]] = {}
@@ -156,14 +88,11 @@ class ConstraintSolver:
     def solve(self) -> Dict[Value, FrozenSet[Value]]:
         """Run the fixed-point iteration and return the final LT sets."""
         state: LTState = {}
-        with TRACER.timer("lt.solve", strategy=self.strategy,
+        with TRACER.timer("lt.solve",
                           constraints=len(self.constraints)) as timer:
             for constraint in self.constraints:
                 state[constraint.target] = TOP
-            if self.strategy == "sparse":
-                self._solve_sparse(state)
-            else:
-                self._solve_constraint_keyed(state)
+            self._iterate(state)
         self.statistics.constraint_count = len(self.constraints)
         self.statistics.variable_count = len(state)
         self.statistics.solve_time_seconds = timer.seconds
@@ -175,88 +104,8 @@ class ConstraintSolver:
             result[value] = frozenset() if lt_set is TOP else lt_set  # type: ignore[assignment]
         return result
 
-    def _policy_ranks(self) -> Optional[Dict[Value, int]]:
-        """Variable pop ranks for the active ordering policy.
-
-        ``fifo`` needs none (insertion order).  ``scc`` — and ``loopdepth``,
-        which degrades to it here — ranks every variable by the topological
-        position of its SCC in the condensation of the constraint dependency
-        graph (an edge per constraint, source → target), so a popped variable
-        tends to have all its sources already settled.
-        """
-        if self.order == "fifo":
-            return None
-        nodes: List[Value] = []
-        successors: Dict[Value, List[Value]] = {}
-
-        def add_node(value: Value) -> None:
-            if value not in successors:
-                nodes.append(value)
-                successors[value] = []
-
-        for constraint in self.constraints:
-            add_node(constraint.target)
-            for source in constraint.sources():
-                add_node(source)
-                successors[source].append(constraint.target)
-        components = strongly_connected_components(nodes, successors)
-        ranks: Dict[Value, int] = {}
-        for rank, component in enumerate(reversed(components)):
-            for value in component:
-                ranks[value] = rank
-        return ranks
-
-    def _solve_sparse(self, state: LTState) -> None:
-        """Variable-keyed worklist: re-evaluate only affected dependents.
-
-        A constraint must be revisited iff one of its sources changed *after*
-        the constraint's last evaluation, so the solver keeps a global step
-        counter, stamps every evaluation and every state change, and skips
-        dependents whose last evaluation already saw the change.  Changes to
-        the same variable coalesce into one pending entry (the shared
-        :class:`~repro.util.worklist.PriorityWorklist` counts them), and the
-        pop order follows the policy ranks of :meth:`_policy_ranks`.
-        """
-        worklist: PriorityWorklist[Value] = PriorityWorklist(self._policy_ranks())
-        evaluations = 0
-        skipped = 0
-        step = 0
-        last_evaluated: Dict[int, int] = {}
-        last_changed: Dict[Value, int] = {}
-
-        def apply(constraint: Constraint) -> None:
-            nonlocal evaluations, step
-            step += 1
-            evaluations += 1
-            last_evaluated[id(constraint)] = step
-            evaluated = constraint.evaluate(state)
-            current = state.get(constraint.target, TOP)
-            updated = self._meet(current, evaluated)
-            if updated != current:
-                state[constraint.target] = updated
-                last_changed[constraint.target] = step
-                worklist.push(constraint.target)
-
-        # Seed pass: every constraint is visited exactly once; only variables
-        # whose sets shrank enter the worklist.
-        for constraint in self.constraints:
-            apply(constraint)
-        while worklist:
-            variable = worklist.pop()
-            changed_at = last_changed.get(variable, 0)
-            for dependent in self._dependents.get(variable, []):
-                if last_evaluated.get(id(dependent), 0) >= changed_at:
-                    # Evaluated after the change it is being notified of —
-                    # re-running the transfer function would be a no-op.
-                    skipped += 1
-                    continue
-                apply(dependent)
-        self.statistics.worklist_pops = evaluations
-        self.statistics.variable_pops = worklist.pops
-        self.statistics.coalesced_pushes = worklist.coalesced + skipped
-
-    def _solve_constraint_keyed(self, state: LTState) -> None:
-        """Legacy scheme: the worklist holds whole constraints."""
+    def _iterate(self, state: LTState) -> None:
+        """Re-evaluate queued constraints until no LT set shrinks."""
         worklist: Worklist[Constraint] = Worklist(self.constraints)
         while worklist:
             constraint = worklist.pop()

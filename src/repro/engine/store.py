@@ -72,7 +72,11 @@ except ImportError:  # pragma: no cover
 #:     ``aaeval-4`` stores are cleared on the first writable open (their
 #:     entries are unreachable under the new derivation anyway); read-only
 #:     opens of an old store miss cleanly on every lookup, no crash.
-STORE_VERSION = "aaeval-5"
+#: v6: persisted SolverInfo payloads are plain counters (the pops-by-order
+#:     and kernel-backend dicts are gone) and the range solver's evaluation
+#:     counts come from the one ranked solver.  Same migration rule:
+#:     writable opens clear an ``aaeval-5`` store, read-only opens miss.
+STORE_VERSION = "aaeval-6"
 
 
 def default_store_max_bytes() -> Optional[int]:

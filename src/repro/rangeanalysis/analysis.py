@@ -20,60 +20,35 @@ condition that dominates them; the analysis uses those conditions to refine
 ranges, which is how ``for (i = 0; i < N; i++)`` yields ``i ∈ [0, N-1]`` on
 the true branch.
 
-Two solver implementations compute the fixed point of a cyclic component:
+A cyclic component is solved by one production solver and, on request, by
+one reference:
 
-* ``sparse`` (the default) — a def-use worklist seeded from the
-  :class:`~repro.rangeanalysis.graph.DependencyGraph`.  Only users of values
-  whose interval actually changed are re-evaluated; per-value widening-point
-  tracking records where widening fired (the back-edge φ/σ nodes in
-  practice).  The worklist is ordered by ``(sweep, member index)`` so it
-  replays the dense solver's Gauss-Seidel trajectory exactly, skipping only
-  evaluations that are provably no-ops — the resulting intervals are
-  **bit-identical** to the dense solver's.
-* ``dense`` — the reference implementation: every member of the component is
+* the ranked table solver (:meth:`RangeAnalysis._solve_cyclic_table`) — a
+  def-use worklist that pops members in the component's intra-component
+  reverse postorder (``SCCComponent.topo_rank``) and re-evaluates only users
+  of values whose interval changed.  The inner loop runs on an unboxed
+  :class:`~repro.rangeanalysis.interval.IntervalTable` with members
+  precompiled to opcode tuples (no isinstance dispatch, no dict probes, no
+  Interval allocation) and boxes results back at the component boundary.
+* ``dense=True`` — the reference: every member of the component is
   re-evaluated on every iteration/widening/narrowing sweep.  Kept for
-  differential testing and as the baseline of
-  ``benchmarks/bench_solver_hotpath.py``.
-
-Select with the ``solver`` constructor argument or the ``REPRO_RANGE_SOLVER``
-environment variable (``sparse``/``dense``).
-
-On top of the solver choice, the *worklist order* is a swappable policy
-(``order`` constructor argument / ``REPRO_WORKLIST_ORDER``):
-
-* ``fifo`` (default) — member-index ranks; the sparse solver replays the
-  dense trajectory bit-identically on ``Interval`` objects.
-* ``scc`` — intra-component reverse-postorder ranks; the inner loop runs on
-  an unboxed :class:`~repro.rangeanalysis.interval.IntervalTable` with
-  members precompiled to opcode tuples (no isinstance dispatch, no dict
-  probes, no Interval allocation) and boxes results back at the component
-  boundary.
-* ``loopdepth`` — like ``scc`` but ranked by loop-nesting depth first
-  (outermost values first), topological rank second.
+  differential tests and as the baseline of
+  ``benchmarks/bench_solver_hotpath.py``; both reach the same fixpoint.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.api.config import (
-    ConfigError,
-    RANGE_SOLVERS,
-    resolved_interval_kernel,
-    resolved_range_solver,
-    resolved_worklist_order,
-)
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinaryOp,
     Copy,
     GetElementPtr,
     ICmp,
-    Instruction,
     Load,
     Phi,
 )
-from repro.ir.loops import LoopInfo
 from repro.ir.printer import format_instruction
 from repro.ir.values import Argument, ConstantInt, Undef, Value
 from repro.obs import TRACER
@@ -84,27 +59,57 @@ from repro.rangeanalysis.interval import (
     IntervalTable,
     NEG_INF,
     POS_INF,
+    bounds_add,
+    bounds_div,
     bounds_join,
+    bounds_meet,
+    bounds_mul,
     bounds_narrow,
+    bounds_refine_greater_equal,
+    bounds_refine_greater_than,
+    bounds_refine_less_equal,
+    bounds_refine_less_than,
+    bounds_rem,
+    bounds_sub,
     bounds_widen,
 )
-from repro.rangeanalysis.kernels import (
-    BatchedComponentSolver,
-    OP_ADD,
-    OP_CONST,
-    OP_COPY,
-    OP_DIV,
-    OP_MUL,
-    OP_PHI,
-    OP_REM,
-    OP_SIGMA,
-    OP_SUB,
-    REFINE_KERNELS,
-    SCALAR_BINARY_KERNELS,
-    get_backend,
-    validate_kernel,
-)
-from repro.util.worklist import SolverInfo, SweepWorklist, validate_order
+from repro.util.worklist import SolverInfo, SweepWorklist
+
+#: opcode tags of the precompiled transfer-function tuples of the table
+#: solver.  Every member of a cyclic component compiles to one tuple whose
+#: operands are IntervalTable handles (member slots first, then preloaded
+#: external slots), so the inner loop touches only flat lists and local ints.
+OP_CONST = 0    # (op, lower, upper)                fixed interval
+OP_ADD = 1      # (op, lhs, rhs)
+OP_SUB = 2      # (op, lhs, rhs)
+OP_MUL = 3      # (op, lhs, rhs)
+OP_DIV = 4      # (op, lhs, rhs)
+OP_REM = 5      # (op, lhs, rhs)
+OP_PHI = 6      # (op, (incoming, ...))
+OP_COPY = 7     # (op, source)
+OP_SIGMA = 8    # (op, source, other, refine_kernel)
+
+#: IR binary operator → opcode.
+BINARY_OPCODES = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL,
+                  "div": OP_DIV, "rem": OP_REM}
+
+#: binary opcode → scalar bounds kernel (built once, shared by every solve).
+BINARY_KERNELS = {
+    OP_ADD: bounds_add,
+    OP_SUB: bounds_sub,
+    OP_MUL: bounds_mul,
+    OP_DIV: bounds_div,
+    OP_REM: bounds_rem,
+}
+
+#: σ-refinement kernels by (already NEGATED/SWAPPED-resolved) predicate.
+REFINE_KERNELS = {
+    "slt": bounds_refine_less_than,
+    "sle": bounds_refine_less_equal,
+    "sgt": bounds_refine_greater_than,
+    "sge": bounds_refine_greater_equal,
+    "eq": bounds_meet,
+}
 
 
 def value_signature(value: Value) -> tuple:
@@ -155,26 +160,13 @@ def _transfer_inputs(value: Value) -> List[Value]:
     return []
 
 
-def default_range_solver() -> str:
-    """The configured solver (default ``sparse``).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_RANGE_SOLVER`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there instead of silently
-    falling back.
-    """
-    return resolved_range_solver()
-
-
 class RangeStatistics:
     """Counters describing one range-analysis solve.
 
     ``evaluations`` counts transfer-function applications — the quantity the
     sparse solver exists to reduce, and what
-    ``benchmarks/bench_solver_hotpath.py`` compares across solvers.
-    ``pops``/``coalesced_pushes`` account the worklist traffic under the
-    active ordering policy (``order``).
+    ``benchmarks/bench_solver_hotpath.py`` compares against the dense
+    reference.  ``pops``/``coalesced_pushes`` account the worklist traffic.
     """
 
     def __init__(self) -> None:
@@ -184,18 +176,8 @@ class RangeStatistics:
         self.widenings = 0
         self.narrowings = 0
         self.widening_points = 0
-        self.order = "fifo"
         self.pops = 0
         self.coalesced_pushes = 0
-        #: the kernel backend that actually served the ranked table solver
-        #: ("scalar" whenever the batched sweep executor was not in play —
-        #: including under the fifo order, where the knob is a no-op).
-        self.kernel_backend = "scalar"
-        #: full level-synchronous sweeps run by the batched executor, and the
-        #: member evaluations those sweeps performed (a subset of
-        #: ``evaluations``).
-        self.batched_sweeps = 0
-        self.batched_evaluations = 0
         #: components whose previous-solve intervals were copied instead of
         #: solved (incremental re-solve only; always 0 on a fresh solve).
         self.reused_components = 0
@@ -206,17 +188,13 @@ class RangeStatistics:
 
     def solver_info(self) -> SolverInfo:
         """These counters as a mergeable cross-solver :class:`SolverInfo`."""
-        info = SolverInfo(
+        return SolverInfo(
             evaluations=self.evaluations,
             widenings=self.widenings,
             narrowings=self.narrowings,
             sccs=self.components,
             cyclic_sccs=self.cyclic_components,
-            batched_sweeps=self.batched_sweeps,
-            batched_evaluations=self.batched_evaluations)
-        info.record_pops(self.order, self.pops)
-        info.record_backend(self.kernel_backend)
-        return info
+            pops=self.pops)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -226,13 +204,9 @@ class RangeStatistics:
             "widenings": self.widenings,
             "narrowings": self.narrowings,
             "widening_points": self.widening_points,
-            "order": self.order,
             "pops": self.pops,
             "coalesced_pushes": self.coalesced_pushes,
             "reused_components": self.reused_components,
-            "kernel_backend": self.kernel_backend,
-            "batched_sweeps": self.batched_sweeps,
-            "batched_evaluations": self.batched_evaluations,
         }
 
     def __repr__(self) -> str:
@@ -250,40 +224,25 @@ class RangeAnalysis:
     #: bound on narrowing iterations (narrowing always terminates, this is a
     #: belt-and-braces fuel limit).
     MAX_NARROWING_ITERATIONS = 16
-    #: pre-widening budget of the ranked (scc/loopdepth) table solver, in
-    #: sweeps.  A topologically ranked sweep propagates one *full* round of
-    #: the cycle (φ-rooted, single back-edge wrap), whereas the dense member
-    #: order advances roughly one value per sweep — so one ranked sweep is
-    #: the equivalent of the legacy ``ITERATIONS_BEFORE_WIDENING`` budget,
-    #: and a larger value only multiplies full-component rounds.
+    #: pre-widening budget of the ranked table solver, in sweeps.  A
+    #: topologically ranked sweep propagates one *full* round of the cycle
+    #: (φ-rooted, single back-edge wrap), whereas the dense member order
+    #: advances roughly one value per sweep — so one ranked sweep is the
+    #: equivalent of the dense ``ITERATIONS_BEFORE_WIDENING`` budget, and a
+    #: larger value only multiplies full-component rounds.
     RANKED_ITERATIONS_BEFORE_WIDENING = 1
 
     def __init__(self, function: Function,
                  argument_ranges: Optional[Dict[Argument, Interval]] = None,
-                 solver: Optional[str] = None,
-                 order: Optional[str] = None,
-                 kernel: Optional[str] = None,
-                 previous: Optional["RangeAnalysis"] = None) -> None:
+                 previous: Optional["RangeAnalysis"] = None,
+                 dense: bool = False) -> None:
         self.function = function
         self.argument_ranges = argument_ranges or {}
         self.ranges: Dict[Value, Interval] = {}
-        self.solver = solver or default_range_solver()
-        if self.solver not in RANGE_SOLVERS:
-            raise ConfigError("range_solver={!r} is not one of {}".format(
-                self.solver, "/".join(RANGE_SOLVERS)))
-        self.order = validate_order(order or resolved_worklist_order())
-        self.kernel = validate_kernel(kernel or resolved_interval_kernel())
-        # The kernel backends plug into the ranked table solver; the boxed
-        # fifo replay and the dense reference solver stay scalar (the knob is
-        # a documented no-op there — fixpoints are bit-identical either way).
-        if self.solver == "sparse" and self.order != "fifo":
-            self._kernel_backend = get_backend(self.kernel)
-        else:
-            self._kernel_backend = None
+        #: solve cyclic components with the dense reference sweeps instead of
+        #: the ranked table solver (differential tests and benchmarks only).
+        self.dense = dense
         self.statistics = RangeStatistics()
-        self.statistics.order = self.order
-        if self._kernel_backend is not None:
-            self.statistics.kernel_backend = self._kernel_backend.name
         #: a finished analysis of an earlier compile of (an edit of) the same
         #: function: components whose structure and external inputs are
         #: unchanged copy its intervals instead of re-solving (incremental
@@ -295,8 +254,7 @@ class RangeAnalysis:
         #: values whose bounds widening actually changed — the per-value
         #: widening points (back-edge φ/σ nodes and the chains they feed).
         self.widening_points: Set[Value] = set()
-        with TRACER.timer("range.solve", fn=function.name,
-                          solver=self.solver, order=self.order) as timer:
+        with TRACER.timer("range.solve", fn=function.name) as timer:
             self._run()
         # Only the solve reads the previous analysis; keeping it would chain
         # every generation of an edited function to all earlier ones.
@@ -325,7 +283,6 @@ class RangeAnalysis:
         schedule = DependencyGraph(self.function).condense()
         self._schedule = schedule
         reuse = self._previous_reuse_table()
-        depth_of = self._loop_depth_of() if self.order == "loopdepth" else None
         for node in schedule.graph.nodes:
             self.ranges[node] = Interval.bottom()
         for component in schedule:
@@ -340,12 +297,10 @@ class RangeAnalysis:
                 # widening, no worklist.
                 self._solve_acyclic(component.members[0])
                 continue
-            if self.solver == "dense":
+            if self.dense:
                 self._solve_cyclic_dense(component.members)
-            elif self.order == "fifo":
-                self._solve_cyclic_sparse(component)
             else:
-                self._solve_cyclic_table(component, depth_of)
+                self._solve_cyclic_table(component)
         self.statistics.widening_points = len(self.widening_points)
 
     # -- incremental re-solve --------------------------------------------------------
@@ -442,21 +397,6 @@ class RangeAnalysis:
             self.ranges[value] = interval
         return True
 
-    def _loop_depth_of(self) -> Callable[[Value], int]:
-        """Loop-nesting depth of a value, for the ``loopdepth`` policy ranks."""
-        info = LoopInfo(self.function)
-        depths: Dict[Value, int] = {}
-
-        def depth_of(value: Value) -> int:
-            cached = depths.get(value)
-            if cached is None:
-                block = getattr(value, "parent", None)
-                cached = info.loop_depth(block) if block is not None else 0
-                depths[value] = cached
-            return cached
-
-        return depth_of
-
     def _solve_acyclic(self, value: Value) -> None:
         self.ranges[value] = self._evaluate(value)
 
@@ -503,97 +443,7 @@ class RangeAnalysis:
         self.statistics.pops += worklist.pops
         self.statistics.coalesced_pushes += worklist.coalesced
 
-    def _solve_cyclic_sparse(self, component: SCCComponent) -> None:
-        """Change-driven solver: re-evaluate only users of changed values.
-
-        The :class:`~repro.util.worklist.SweepWorklist` holds member indices
-        keyed ``(sweep, rank)``; under the ``fifo`` policy ranks are member
-        indices, which replays the dense solver's Gauss–Seidel sweeps: when
-        the value at index ``i`` changes during sweep ``s``, a user at index
-        ``j > i`` is re-evaluated later in the same sweep (it would have seen
-        the update in the dense pass too) and a user at ``j <= i`` in sweep
-        ``s + 1``.  Values whose operands did not change are skipped outright
-        — their re-evaluation would reproduce the stored interval, so the
-        dense sweep's visit is a no-op there.  The per-phase sweep limits are
-        shared with the dense solver, which makes the two solvers' results
-        bit-identical.
-        """
-        members = component.members
-        users = component.users
-        ranges = self.ranges
-        statistics = self.statistics
-
-        worklist = SweepWorklist(component.ranks("fifo"))
-        # Phase 1a: bounded chaotic iteration.
-        while True:
-            sweep = worklist.next_sweep()
-            if sweep is None or sweep >= self.ITERATIONS_BEFORE_WIDENING:
-                break
-            sweep, index = worklist.pop()
-            value = members[index]
-            new = self._evaluate(value)
-            if new != ranges[value]:
-                ranges[value] = new
-                worklist.schedule(sweep, index, users[index])
-        if not worklist:
-            self._harvest(worklist)
-            return
-        # Phase 1b: widening until the change frontier drains.
-        while worklist:
-            sweep, index = worklist.pop()
-            value = members[index]
-            widened = ranges[value].widen(self._evaluate(value))
-            if widened != ranges[value]:
-                ranges[value] = widened
-                if value not in self.widening_points:
-                    self.widening_points.add(value)
-                statistics.widenings += 1
-                worklist.schedule(sweep, index, users[index])
-        self._harvest(worklist)
-        # Phase 2: narrowing.  Every member re-enters once — the transfer
-        # changes from widening to narrowing, so "operands unchanged" no
-        # longer implies a no-op — then only users of refined values follow.
-        worklist = SweepWorklist(component.ranks("fifo"))
-        while True:
-            sweep = worklist.next_sweep()
-            if sweep is None or sweep >= self.MAX_NARROWING_ITERATIONS:
-                break
-            sweep, index = worklist.pop()
-            value = members[index]
-            narrowed = ranges[value].narrow(self._evaluate(value))
-            if narrowed != ranges[value]:
-                ranges[value] = narrowed
-                statistics.narrowings += 1
-                worklist.schedule(sweep, index, users[index])
-        self._harvest(worklist)
-
     # -- unboxed (IntervalTable) solver ------------------------------------------------
-    #
-    # Opcodes of the precompiled transfer functions.  Every member of a
-    # cyclic component compiles to one tuple; operands are IntervalTable
-    # handles (member slots first, then preloaded external slots), so the
-    # inner loop touches only flat lists and local ints.  The opcode values
-    # and the scalar kernel tables live in
-    # :mod:`repro.rangeanalysis.kernels.opcodes` (shared with the batched
-    # sweep executor); the class aliases keep the historical spelling.
-    _OP_CONST = OP_CONST    # (op, lower, upper)                fixed interval
-    _OP_ADD = OP_ADD        # (op, lhs, rhs)
-    _OP_SUB = OP_SUB        # (op, lhs, rhs)
-    _OP_MUL = OP_MUL        # (op, lhs, rhs)
-    _OP_DIV = OP_DIV        # (op, lhs, rhs)
-    _OP_REM = OP_REM        # (op, lhs, rhs)
-    _OP_PHI = OP_PHI        # (op, (incoming, ...))
-    _OP_COPY = OP_COPY      # (op, source)
-    _OP_SIGMA = OP_SIGMA    # (op, source, other, refine_kernel)
-
-    #: σ-refinement kernels by (already NEGATED/SWAPPED-resolved) predicate.
-    _REFINE_KERNELS = REFINE_KERNELS
-
-    #: binary opcode → scalar bounds kernel, built once at import time (it
-    #: used to be reconstructed inside ``_solve_cyclic_table`` for every
-    #: cyclic component).
-    _TABLE_KERNELS = SCALAR_BINARY_KERNELS
-
     def _compile_component(self, members: List[Value],
                            index_of: Dict[Value, int],
                            table: IntervalTable) -> List[tuple]:
@@ -615,17 +465,14 @@ class RangeAnalysis:
                 extern[operand] = handle
             return handle
 
-        binary_ops = {"add": self._OP_ADD, "sub": self._OP_SUB,
-                      "mul": self._OP_MUL, "div": self._OP_DIV,
-                      "rem": self._OP_REM}
         compiled: List[tuple] = []
         for value in members:
-            if isinstance(value, BinaryOp) and value.op in binary_ops:
-                compiled.append((binary_ops[value.op],
+            if isinstance(value, BinaryOp) and value.op in BINARY_OPCODES:
+                compiled.append((BINARY_OPCODES[value.op],
                                  handle_of(value.lhs), handle_of(value.rhs)))
                 continue
             if isinstance(value, Phi):
-                compiled.append((self._OP_PHI,
+                compiled.append((OP_PHI,
                                  tuple(handle_of(incoming)
                                        for incoming, _block in value.incoming())))
                 continue
@@ -635,7 +482,7 @@ class RangeAnalysis:
             # Arguments, loads, geps, unknown binary ops: the evaluation does
             # not depend on the table state, so bake the interval in.
             fixed = self._evaluate_fixed(value)
-            compiled.append((self._OP_CONST, fixed.lower, fixed.upper))
+            compiled.append((OP_CONST, fixed.lower, fixed.upper))
         return compiled
 
     def _compile_copy(self, copy: Copy, handle_of) -> tuple:
@@ -643,19 +490,19 @@ class RangeAnalysis:
         condition = getattr(copy, "sigma_condition", None)
         side = getattr(copy, "sigma_operand_side", None)
         if not isinstance(condition, ICmp) or side not in ("lhs", "rhs"):
-            return (self._OP_COPY, handle_of(copy.source))
+            return (OP_COPY, handle_of(copy.source))
         predicate = condition.predicate
         if not getattr(copy, "sigma_on_true_branch", True):
             predicate = ICmp.NEGATED[predicate]
         if side == "rhs":
             predicate = ICmp.SWAPPED[predicate]
         other = condition.rhs if side == "lhs" else condition.lhs
-        kernel = self._REFINE_KERNELS.get(predicate)
+        kernel = REFINE_KERNELS.get(predicate)
         if kernel is None:
             # _refine_sigma returns the source range untouched for predicates
             # it cannot exploit (e.g. "ne").
-            return (self._OP_COPY, handle_of(copy.source))
-        return (self._OP_SIGMA, handle_of(copy.source), handle_of(other), kernel)
+            return (OP_COPY, handle_of(copy.source))
+        return (OP_SIGMA, handle_of(copy.source), handle_of(other), kernel)
 
     def _evaluate_fixed(self, value: Value) -> Interval:
         """The (state-independent) interval of a non-arithmetic member."""
@@ -665,15 +512,18 @@ class RangeAnalysis:
             return Interval.constant(value.value)
         return Interval.top()
 
-    def _solve_cyclic_table(self, component: SCCComponent,
-                            depth_of: Optional[Callable[[Value], int]]) -> None:
-        """The sparse solver on unboxed bounds, under a ranked policy.
+    def _solve_cyclic_table(self, component: SCCComponent) -> None:
+        """The production solver: a ranked def-use worklist on unboxed bounds.
 
-        Same three phases and sweep limits as :meth:`_solve_cyclic_sparse`,
-        but the inner loop reads and writes an :class:`IntervalTable` through
-        precompiled opcodes — no isinstance dispatch, no ``ranges`` dict
-        probes, no Interval allocation or interning until the component is
-        done and the final bounds are boxed back into ``self.ranges``.
+        The :class:`~repro.util.worklist.SweepWorklist` pops member indices
+        keyed ``(sweep, topo_rank)``: when the member at rank ``r`` changes
+        during sweep ``s``, a user ranked after it is re-evaluated later in
+        the same sweep and one ranked before it in sweep ``s + 1``; members
+        whose operands did not change are never revisited.  The inner loop
+        reads and writes an :class:`IntervalTable` through precompiled
+        opcodes — no isinstance dispatch, no ``ranges`` dict probes, no
+        Interval allocation or interning until the component is done and the
+        final bounds are boxed back into ``self.ranges``.
         """
         members = component.members
         count = len(members)
@@ -681,12 +531,8 @@ class RangeAnalysis:
         index_of = {value: index for index, value in enumerate(members)}
         table = IntervalTable(count)
         compiled = self._compile_component(members, index_of, table)
-        ranks = component.ranks(self.order, depth_of)
+        ranks = component.topo_rank
         statistics = self.statistics
-
-        if self._kernel_backend is not None:
-            self._solve_cyclic_batched(component, compiled, ranks, table)
-            return
 
         lo = table.lo
         hi = table.hi
@@ -695,7 +541,7 @@ class RangeAnalysis:
         op_phi = OP_PHI
         op_copy = OP_COPY
         op_sigma = OP_SIGMA
-        kernels = self._TABLE_KERNELS
+        kernels = BINARY_KERNELS
         evaluations = 0
 
         def evaluate(index: int) -> Tuple:
@@ -729,7 +575,7 @@ class RangeAnalysis:
         worklist = SweepWorklist(ranks)
         # Phase 1a: bounded chaotic iteration (see
         # RANKED_ITERATIONS_BEFORE_WIDENING for why the budget differs from
-        # the replay solver's).
+        # the dense solver's).
         while True:
             sweep = worklist.next_sweep()
             if sweep is None or sweep >= self.RANKED_ITERATIONS_BEFORE_WIDENING:
@@ -756,8 +602,9 @@ class RangeAnalysis:
                 statistics.widenings += 1
                 worklist.schedule(sweep, index, users[index])
         self._harvest(worklist)
-        # Phase 2: narrowing (every member re-enters once, as in the boxed
-        # sparse solver).
+        # Phase 2: narrowing.  Every member re-enters once — the transfer
+        # changes from widening to narrowing, so "operands unchanged" no
+        # longer implies a no-op — then only users of refined values follow.
         worklist = SweepWorklist(ranks)
         while True:
             sweep = worklist.next_sweep()
@@ -774,37 +621,6 @@ class RangeAnalysis:
                 worklist.schedule(sweep, index, users[index])
         self._harvest(worklist)
         finish()
-
-    def _solve_cyclic_batched(self, component: SCCComponent,
-                              compiled: List[tuple], ranks,
-                              table: IntervalTable) -> None:
-        """Hand one compiled component to the batched sweep executor.
-
-        The executor replays the ranked sparse trajectory with
-        level-synchronous batched sweeps (see
-        :class:`~repro.rangeanalysis.kernels.sweep.BatchedComponentSolver`);
-        this wrapper only folds its counters back into the statistics and
-        boxes the fixpoint, exactly like ``finish()`` on the scalar path.
-        """
-        members = component.members
-        solver = BatchedComponentSolver(
-            compiled, component.users, ranks, table, self._kernel_backend,
-            self.RANKED_ITERATIONS_BEFORE_WIDENING,
-            self.MAX_NARROWING_ITERATIONS)
-        solver.solve()
-        statistics = self.statistics
-        statistics.evaluations += solver.evaluations
-        statistics.widenings += solver.widenings
-        statistics.narrowings += solver.narrowings
-        statistics.pops += solver.pops
-        statistics.coalesced_pushes += solver.coalesced
-        statistics.batched_sweeps += solver.batched_sweeps
-        statistics.batched_evaluations += solver.batched_evaluations
-        for index in solver.widened:
-            self.widening_points.add(members[index])
-        load = table.load
-        for index, value in enumerate(members):
-            self.ranges[value] = load(index)
 
     # -- transfer functions -----------------------------------------------------------
     def _operand_range(self, value: Value) -> Interval:

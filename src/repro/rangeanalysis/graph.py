@@ -9,7 +9,7 @@ topological order.  Acyclic components are evaluated once; cyclic components
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -113,8 +113,8 @@ class SCCComponent:
     order the dense reference sweeps visit; ``users`` holds, per member
     index, the sorted member indices of its intra-component dependants (the
     def-use slice the sparse solver schedules from); ``topo_rank`` is an
-    intra-component reverse postorder from the canonical first member —
-    the data-flow order the ``scc`` worklist policy pops in.  Acyclic
+    intra-component reverse postorder rooted at a component entry — the
+    data-flow order the sparse solver's worklist pops in.  Acyclic
     singletons (``cyclic`` false) are solved in one pass with no widening.
     """
 
@@ -130,32 +130,6 @@ class SCCComponent:
     def __len__(self) -> int:
         return len(self.members)
 
-    def ranks(self, order: str,
-              depth_of: Optional[Callable[[Value], int]] = None) -> List[int]:
-        """Per-member pop ranks under worklist policy ``order``.
-
-        ``fifo`` ranks by member index (the dense-replay order), ``scc`` by
-        the intra-component reverse postorder, and ``loopdepth`` by
-        ``(loop depth, topological rank)`` flattened to a total order —
-        outermost (shallowest) values first, data-flow order within a
-        depth.  ``depth_of`` supplies the loop depth of a member;
-        ``loopdepth`` degrades to ``scc`` without it.
-        """
-        if order == "fifo" or len(self.members) <= 1:
-            return list(range(len(self.members)))
-        if order == "scc" or depth_of is None:
-            return list(self.topo_rank)
-        if order == "loopdepth":
-            count = len(self.members)
-            keyed = sorted(range(count),
-                           key=lambda i: (depth_of(self.members[i]),
-                                          self.topo_rank[i]))
-            ranks = [0] * count
-            for rank, index in enumerate(keyed):
-                ranks[index] = rank
-            return ranks
-        raise ValueError("unknown worklist order {!r}".format(order))
-
     def __repr__(self) -> str:
         return "<SCCComponent size={} cyclic={}>".format(
             len(self.members), self.cyclic)
@@ -166,7 +140,7 @@ class SCCSchedule:
 
     The condensation of the def-use graph: components appear with every
     dependency before its dependants, each carrying its member slice, its
-    intra-component def-use index lists and its policy rank orders.  The
+    intra-component def-use index lists and its pop ranks.  The
     solvers walk the schedule once; widening/narrowing only ever runs
     inside components flagged ``cyclic``.
     """

@@ -18,7 +18,7 @@ common case after the first few iterations) no object is created at all.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 # Extended integers: plain Python ints plus the two infinities, represented
 # with floats so that comparisons work out of the box.
@@ -503,8 +503,7 @@ class IntervalTable:
     no attribute lookups, no object allocation, no interning probes — and
     boxes results back into canonical :class:`Interval` objects only at the
     solver boundary via :meth:`load`, so the interned-``Interval`` public
-    API is untouched.  The layout is deliberately two flat ``list``s of
-    numbers: the shape a vectorized or C kernel can adopt wholesale later.
+    API is untouched.
     """
 
     __slots__ = ("lo", "hi")
@@ -513,28 +512,12 @@ class IntervalTable:
         self.lo: list = [POS_INF] * size
         self.hi: list = [NEG_INF] * size
 
-    def alloc(self, interval: Optional[Interval] = None) -> int:
-        """Append a slot (bottom unless ``interval`` given); return its handle."""
+    def alloc(self, interval: Interval) -> int:
+        """Append a slot holding ``interval``; return its handle."""
         handle = len(self.lo)
-        if interval is None:
-            self.lo.append(POS_INF)
-            self.hi.append(NEG_INF)
-        else:
-            self.lo.append(interval.lower)
-            self.hi.append(interval.upper)
+        self.lo.append(interval.lower)
+        self.hi.append(interval.upper)
         return handle
-
-    def store(self, handle: int, interval: Interval) -> None:
-        """Unbox ``interval`` into slot ``handle``."""
-        self.lo[handle] = interval.lower
-        self.hi[handle] = interval.upper
-
-    def set_bounds(self, handle: int, lower: Extended, upper: Extended) -> None:
-        self.lo[handle] = lower
-        self.hi[handle] = upper
-
-    def bounds(self, handle: int) -> Bounds:
-        return self.lo[handle], self.hi[handle]
 
     def load(self, handle: int) -> Interval:
         """Box slot ``handle`` back into a canonical :class:`Interval`."""

@@ -1,8 +1,8 @@
 """Fixpoint certificate checkers and the NoAlias verdict audit.
 
 The solvers are fast because they are clever (sparse worklists, SCC
-condensation, batched kernels, incremental re-solve); the checkers here are
-trustworthy because they are dumb.  Each one re-derives an artifact with the
+condensation, unboxed interval tables, incremental re-solve); the checkers
+here are trustworthy because they are dumb.  Each one re-derives an artifact with the
 most naive machinery available and compares:
 
 * **range certificate** — the solved interval state is a *post-fixpoint*:
@@ -10,7 +10,8 @@ most naive machinery available and compares:
   :class:`~repro.rangeanalysis.interval.Interval` methods (no kernels, no
   tables, no worklists), must produce a result the stored interval
   ``includes``.  A sound over-approximating fixpoint is inductive in exactly
-  this sense, whichever solver/kernel/order produced it.
+  this sense, whichever solver produced it (the ranked production solver
+  or the dense reference).
 
 * **less-than certificate** — the final LT sets satisfy every constraint:
   ``LT(target) ⊆ constraint.evaluate(lt_sets)`` for each generated

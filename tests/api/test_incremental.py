@@ -2,14 +2,11 @@
 
 The contract under test is *determinism first*: whatever the refresh layer
 migrates and the solver reuses, the verdict stream of an incremental update
-must be bit-identical to a cold solve of the same source — serially, under
-every worklist ordering policy, and against a sharded (``REPRO_WORKERS=2``)
-cold run.
+must be bit-identical to a cold solve of the same source — serially and
+against a sharded (``REPRO_WORKERS=2``) cold run.
 """
 
-import pytest
-
-from repro.api import ReproConfig, Session, UpdateResult
+from repro.api import Session, UpdateResult
 
 BASE = """
 int a(int* v, int n) {
@@ -47,14 +44,13 @@ def _verdicts(result):
     return verdicts
 
 
-@pytest.mark.parametrize("order", ["fifo", "scc", "loopdepth"])
-def test_update_source_matches_cold_solve(order):
-    with Session(ReproConfig(worklist_order=order)) as session:
+def test_update_source_matches_cold_solve():
+    with Session() as session:
         session.update_source("m", BASE, SPECS)
         update = session.update_source("m", EDITED, SPECS)
     assert isinstance(update, UpdateResult)
     assert update.refresh.dirty == ["a"]
-    with Session(ReproConfig(worklist_order=order)) as cold_session:
+    with Session() as cold_session:
         cold = cold_session.evaluate_source("m", EDITED, SPECS)
     assert _verdicts(update.result) == _verdicts(cold)
 

@@ -181,21 +181,6 @@ def test_invalid_explicit_workers_argument_raises():
             session.run_workload([("m", INS_SORT)], workers=-1)
 
 
-def test_session_config_reaches_solver_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_RANGE_SOLVER", raising=False)
-    session = Session(ReproConfig(range_solver="dense", lt_solver="constraint"))
-    unit = session.compile(INS_SORT, name="m").analyze()
-    analysis = unit.lessthan()
-    assert all(ranges.solver == "dense" for ranges in analysis.ranges.values())
-    # Verdicts are bit-identical across solver configurations.
-    dense = session.evaluate(unit.module, specs=(("lt",),), store=False)
-    sparse_session = Session(ReproConfig(range_solver="sparse"))
-    sparse = sparse_session.evaluate(
-        sparse_session.compile(INS_SORT, name="m").module,
-        specs=(("lt",),), store=False)
-    assert _verdict_map(dense) == _verdict_map(sparse)
-
-
 def test_session_keyword_overrides():
     base = ReproConfig(workers=3)
     session = Session(base, workers=1)

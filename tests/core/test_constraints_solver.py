@@ -5,15 +5,13 @@ These tests build small constraint systems by hand (mirroring Example 3.4 /
 pinned down independently of constraint generation.
 """
 
-import pytest
-
 from repro.core.lessthan.constraints import (
     InitConstraint,
     IntersectionConstraint,
     TOP,
     UnionConstraint,
 )
-from repro.core.lessthan.solver import ConstraintSolver, default_lt_solver
+from repro.core.lessthan.solver import ConstraintSolver
 from repro.ir import INT
 from repro.ir.values import Value
 
@@ -151,49 +149,10 @@ def _example_systems():
     return {"chain": chain, "cycle": cycle, "degenerate": degenerate}
 
 
-def test_sparse_and_constraint_strategies_agree():
+def test_solution_is_independent_of_constraint_order():
+    # Descending chaotic iteration reaches one fixed point whatever order
+    # the worklist visits the constraints in.
     for name, constraints in _example_systems().items():
-        sparse = ConstraintSolver(constraints, strategy="sparse").solve()
-        legacy = ConstraintSolver(constraints, strategy="constraint").solve()
-        assert sparse == legacy, name
-
-
-def test_sparse_statistics_prove_the_reduction():
-    constraints = _example_systems()["cycle"]
-    solver = ConstraintSolver(constraints, strategy="sparse")
-    solver.solve()
-    stats = solver.statistics
-    # Every constraint is visited at least once (the seed pass)...
-    assert stats.worklist_pops >= stats.constraint_count
-    # ...the worklist is keyed by variable...
-    assert stats.variable_pops > 0
-    # ...and the dict shape carries the new counters.
-    as_dict = stats.as_dict()
-    for key in ("variable_pops", "coalesced_pushes", "skip_ratio"):
-        assert key in as_dict
-    assert 0.0 <= stats.skip_ratio <= 1.0
-
-
-def test_sparse_never_evaluates_more_than_legacy():
-    for name, constraints in _example_systems().items():
-        sparse = ConstraintSolver(constraints, strategy="sparse")
-        legacy = ConstraintSolver(constraints, strategy="constraint")
-        sparse.solve()
-        legacy.solve()
-        assert sparse.statistics.worklist_pops <= legacy.statistics.worklist_pops, name
-
-
-def test_strategy_selection_via_environment(monkeypatch):
-    from repro.api.config import ConfigError
-
-    monkeypatch.setenv("REPRO_LT_SOLVER", "constraint")
-    assert default_lt_solver() == "constraint"
-    assert ConstraintSolver([]).strategy == "constraint"
-    # Invalid values fail loudly at the config boundary (no silent fallback).
-    monkeypatch.setenv("REPRO_LT_SOLVER", "bogus")
-    with pytest.raises(ConfigError, match="REPRO_LT_SOLVER"):
-        default_lt_solver()
-    monkeypatch.delenv("REPRO_LT_SOLVER")
-    assert ConstraintSolver([]).strategy == "sparse"
-    with pytest.raises(ValueError):
-        ConstraintSolver([], strategy="unknown")
+        forward = ConstraintSolver(constraints).solve()
+        backward = ConstraintSolver(list(reversed(constraints))).solve()
+        assert forward == backward, name

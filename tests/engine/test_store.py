@@ -142,31 +142,44 @@ def test_unit_key_label_separator_unambiguous():
             != unit_key("aaeval", "p", "src", ["a|b", "c"], True))
 
 
-def test_store_version_aaeval4_to_aaeval5_migration(tmp_path, backend):
-    """The fingerprint-keying bump: stale ``aaeval-4`` entries never serve.
+def _assert_migrates(path, backend, old_version):
+    """Stale ``old_version`` entries never serve under the current version.
 
     A writable open under the current version clears them wholesale; a
     read-only open (shard workers) answers clean misses without crashing
     or clearing entries it does not own.
     """
-    assert STORE_VERSION == "aaeval-5"
-    path = str(tmp_path / "store.bin")
-    with AnalysisStore(path, version="aaeval-4", backend=backend) as old:
-        old.put("stale-module-hash-key", PAYLOAD)
+    with AnalysisStore(path, version=old_version, backend=backend) as old:
+        old.put("stale-key", PAYLOAD)
     # Read-only first (the worker path): miss cleanly, leave the file alone.
     with AnalysisStore(path, backend=backend, readonly=True) as reader:
         assert reader.version == STORE_VERSION
-        assert reader.get("stale-module-hash-key") is None
-    with AnalysisStore(path, version="aaeval-4", backend=backend,
+        assert reader.get("stale-key") is None
+    with AnalysisStore(path, version=old_version, backend=backend,
                        readonly=True) as reader:
-        assert reader.get("stale-module-hash-key") == PAYLOAD
+        assert reader.get("stale-key") == PAYLOAD
     # Writable open (the coordinator path): drop and restamp.
     with AnalysisStore(path, backend=backend) as upgraded:
-        assert upgraded.get("stale-module-hash-key") is None
+        assert upgraded.get("stale-key") is None
         assert len(upgraded) == 0
-        upgraded.put("fingerprint-key", PAYLOAD)
+        upgraded.put("fresh-key", PAYLOAD)
     with AnalysisStore(path, backend=backend) as reopened:
-        assert reopened.get("fingerprint-key") == PAYLOAD
+        assert reopened.get("fresh-key") == PAYLOAD
+
+
+def test_store_version_aaeval4_to_aaeval5_migration(tmp_path, backend):
+    """The fingerprint-keying bump: stale ``aaeval-4`` entries never serve
+    (nor under any later version)."""
+    assert STORE_VERSION == "aaeval-6"
+    _assert_migrates(str(tmp_path / "store.bin"), backend, "aaeval-4")
+
+
+def test_store_version_aaeval5_to_aaeval6_migration(tmp_path, backend):
+    """The plain-counter SolverInfo bump: ``aaeval-5`` payloads carry
+    pops-by-order and kernel-backend dicts and the evaluation counts of the
+    retired fifo range solver, so they must never be replayed."""
+    assert STORE_VERSION == "aaeval-6"
+    _assert_migrates(str(tmp_path / "store.bin"), backend, "aaeval-5")
 
 
 def test_text_hash_is_stable():

@@ -1,14 +1,9 @@
-"""Exhaustive parity: bounds kernels vs ``Interval`` methods vs ``*_many``.
+"""Exhaustive parity: unboxed bounds kernels vs ``Interval`` methods.
 
-The unboxed solver path trusts three layers to agree bit-for-bit:
-
-* the scalar ``bounds_*`` kernels must match their boxed ``Interval``
-  method twins on every input, including the empty interval and the
-  half-/all-infinite ones;
-* the ``batch`` backend's ``bounds_*_many`` kernels must match a plain
-  scalar loop over the same handle arrays;
-* the ``numpy`` backend's vectorized kernels must match too — both on the
-  encodable int64 range and via the per-call fallback outside it.
+The range solver's inner loop works on raw ``(lower, upper)`` pairs, so
+every scalar ``bounds_*`` kernel must match its boxed ``Interval`` method
+twin bit-for-bit on every input, including the empty interval and the
+half-/all-infinite ones.
 
 The grid below crosses every interval shape the domain can produce:
 all-finite, half-infinite both ways, top, single-point, zero-crossing,
@@ -35,14 +30,6 @@ from repro.rangeanalysis.interval import (
     bounds_sub,
     bounds_widen,
 )
-from repro.rangeanalysis.kernels import BATCH_BACKEND, get_backend
-from repro.rangeanalysis.kernels.batch import (
-    BINARY_MANY_KERNELS,
-    REFINE_MANY_KERNELS,
-    bounds_copy_many,
-    bounds_join_many,
-)
-from repro.rangeanalysis.kernels.opcodes import SCALAR_BINARY_KERNELS
 
 # Every interval shape over a small bound alphabet, plus bottom.  Bounds are
 # stored canonically: bottom is (POS_INF, NEG_INF) and lower > upper is the
@@ -90,136 +77,3 @@ def test_scalar_kernels_match_interval_methods(kernel, method):
         for b in GRID:
             expected = _unboxed(method(boxed_a, _boxed(b)))
             assert kernel(a[0], a[1], b[0], b[1]) == expected, (a, b)
-
-
-# -- batched (*_many) kernels against scalar loops -----------------------------
-
-def _pair_table():
-    """A table holding every grid interval once, plus the full handle cross.
-
-    Returns ``(lo, hi, lhs, rhs)`` where ``(lhs[i], rhs[i])`` enumerates
-    every ordered pair of grid intervals.
-    """
-    lo = [bounds[0] for bounds in GRID]
-    hi = [bounds[1] for bounds in GRID]
-    lhs = []
-    rhs = []
-    for a in range(len(GRID)):
-        for b in range(len(GRID)):
-            lhs.append(a)
-            rhs.append(b)
-    return lo, hi, lhs, rhs
-
-
-def _scalar_reference(kernel, lo, hi, lhs, rhs):
-    out_lo = [None] * len(lhs)
-    out_hi = [None] * len(lhs)
-    for i in range(len(lhs)):
-        a = lhs[i]
-        b = rhs[i]
-        out_lo[i], out_hi[i] = kernel(lo[a], hi[a], lo[b], hi[b])
-    return out_lo, out_hi
-
-
-def _backends():
-    backends = [BATCH_BACKEND]
-    numpy_backend = get_backend("numpy")
-    if numpy_backend.name == "numpy":  # degrades to batch when numpy is absent
-        backends.append(numpy_backend)
-    return backends
-
-
-@pytest.mark.parametrize("backend", _backends(), ids=lambda b: b.name)
-def test_binary_many_kernels_match_scalar_loops(backend):
-    lo, hi, lhs, rhs = _pair_table()
-    for op, kernel in sorted(SCALAR_BINARY_KERNELS.items()):
-        expected = _scalar_reference(kernel, lo, hi, lhs, rhs)
-        out_lo = [None] * len(lhs)
-        out_hi = [None] * len(lhs)
-        backend.binary_many(op)(lo, hi, lhs, rhs, out_lo, out_hi)
-        assert (out_lo, out_hi) == expected, kernel.__name__
-
-
-@pytest.mark.parametrize("backend", _backends(), ids=lambda b: b.name)
-def test_refine_many_kernels_match_scalar_loops(backend):
-    lo, hi, lhs, rhs = _pair_table()
-    for kernel in REFINE_MANY_KERNELS:
-        expected = _scalar_reference(kernel, lo, hi, lhs, rhs)
-        out_lo = [None] * len(lhs)
-        out_hi = [None] * len(lhs)
-        backend.refine_many(kernel)(lo, hi, lhs, rhs, out_lo, out_hi)
-        assert (out_lo, out_hi) == expected, kernel.__name__
-
-
-@pytest.mark.parametrize("backend", _backends(), ids=lambda b: b.name)
-def test_copy_many_matches_direct_reads(backend):
-    lo = [bounds[0] for bounds in GRID]
-    hi = [bounds[1] for bounds in GRID]
-    src = list(reversed(range(len(GRID))))
-    out_lo = [None] * len(src)
-    out_hi = [None] * len(src)
-    backend.copy_many()(lo, hi, src, out_lo, out_hi)
-    assert out_lo == [lo[s] for s in src]
-    assert out_hi == [hi[s] for s in src]
-
-
-@pytest.mark.parametrize("backend", _backends(), ids=lambda b: b.name)
-@pytest.mark.parametrize("arity", [1, 2, 3])
-def test_join_many_matches_boxed_phi_fold(backend, arity):
-    lo = [bounds[0] for bounds in GRID]
-    hi = [bounds[1] for bounds in GRID]
-    count = len(GRID)
-    # Rotate the table so every group member joins ``arity`` distinct
-    # intervals, covering empty-in-any-position and mixed-infinity folds.
-    columns = tuple(
-        [(i + k * 7) % count for i in range(count)] for k in range(arity))
-    out_lo = [None] * count
-    out_hi = [None] * count
-    backend.join_many()(lo, hi, columns, out_lo, out_hi)
-    for i in range(count):
-        expected = Interval.bottom()
-        for column in columns:
-            expected = expected.join(_boxed((lo[column[i]], hi[column[i]])))
-        assert (out_lo[i], out_hi[i]) == _unboxed(expected), i
-
-
-def test_numpy_kernels_fall_back_outside_int64_range():
-    numpy_backend = get_backend("numpy")
-    if numpy_backend.name != "numpy":
-        pytest.skip("numpy not installed; knob degrades to batch")
-    huge = 2 ** 70  # unencodable as an int64 sentinel value
-    lo = [1, -huge, NEG_INF]
-    hi = [huge, 5, POS_INF]
-    lhs = [0, 1, 2]
-    rhs = [1, 2, 0]
-    for op, kernel in sorted(SCALAR_BINARY_KERNELS.items()):
-        expected = _scalar_reference(kernel, lo, hi, lhs, rhs)
-        out_lo = [None] * len(lhs)
-        out_hi = [None] * len(lhs)
-        before = numpy_backend.fallbacks
-        numpy_backend.binary_many(op)(lo, hi, lhs, rhs, out_lo, out_hi)
-        assert (out_lo, out_hi) == expected, kernel.__name__
-        # add/sub/mul take the encode-reject path; div/rem delegate outright.
-        from repro.rangeanalysis.kernels.opcodes import OP_DIV, OP_REM
-        if op not in (OP_DIV, OP_REM):
-            assert numpy_backend.fallbacks == before + 1
-
-
-def test_numpy_rejects_degenerate_all_infinite_intervals():
-    numpy_backend = get_backend("numpy")
-    if numpy_backend.name != "numpy":
-        pytest.skip("numpy not installed; knob degrades to batch")
-    # [-inf, -inf] and [+inf, +inf] cannot be told apart from sentinel
-    # collisions after arithmetic; they must be served by the batch twin.
-    lo = [NEG_INF, POS_INF, 0]
-    hi = [NEG_INF, POS_INF, 10]
-    lhs = [0, 1, 2]
-    rhs = [2, 2, 2]
-    expected = _scalar_reference(bounds_add, lo, hi, lhs, rhs)
-    out_lo = [None] * len(lhs)
-    out_hi = [None] * len(lhs)
-    before = numpy_backend.fallbacks
-    from repro.rangeanalysis.kernels.opcodes import OP_ADD
-    numpy_backend.binary_many(OP_ADD)(lo, hi, lhs, rhs, out_lo, out_hi)
-    assert (out_lo, out_hi) == expected
-    assert numpy_backend.fallbacks == before + 1

@@ -2,8 +2,8 @@
 
 Tarjan's algorithm on hand-built graphs (self-loops, nested cycles, DAGs),
 then the solver-ready :class:`SCCSchedule`: topological component order,
-cyclic flags, intra-component def-use slices and the per-policy rank
-orders the ranked worklists pop in.
+cyclic flags, intra-component def-use slices and the reverse-postorder
+ranks the solver's worklist pops in.
 """
 
 from repro.core import LessThanAnalysis
@@ -125,40 +125,17 @@ def test_users_slices_are_sorted_member_indices():
             assert all(0 <= index < count for index in users)
 
 
-def test_fifo_ranks_are_identity():
-    for component in _loop_schedule():
-        count = len(component)
-        assert component.ranks("fifo") == list(range(count))
-
-
 def test_scc_ranks_are_a_permutation_rooted_at_a_phi():
     schedule = _loop_schedule()
     big = max(schedule, key=len)
     assert len(big) > 1 and big.cyclic
-    ranks = big.ranks("scc")
+    ranks = big.topo_rank
     assert sorted(ranks) == list(range(len(big)))
     # The reverse postorder prefers a loop-header φ as DFS root: some φ
     # member carries rank 0 (the seed of the data-flow order).
     roots = [value for index, value in enumerate(big.members)
              if ranks[index] == 0]
     assert any(isinstance(value, Phi) for value in roots)
-
-
-def test_loopdepth_ranks_sort_by_depth_then_topological_rank():
-    _module, function = build_two_index_loop_module()
-    schedule = SCCSchedule(DependencyGraph(function))
-    big = max(schedule, key=len)
-    depth = {value: index % 2 for index, value in enumerate(big.members)}
-    ranks = big.ranks("loopdepth", depth_of=lambda value: depth[value])
-    assert sorted(ranks) == list(range(len(big)))
-    keyed = sorted(range(len(big)),
-                   key=lambda i: (depth[big.members[i]], big.topo_rank[i]))
-    expected = [0] * len(big)
-    for rank, index in enumerate(keyed):
-        expected[index] = rank
-    assert ranks == expected
-    # Without a depth oracle the policy degrades to the scc ranks.
-    assert big.ranks("loopdepth") == big.ranks("scc")
 
 
 def test_schedule_matches_legacy_component_iteration():
@@ -179,9 +156,10 @@ def test_schedule_matches_legacy_component_iteration():
 
 
 def test_ranked_policies_reach_the_fifo_fixpoint():
-    # The schedule feeds three policies; all must solve to the same ranges.
+    # The schedule's reverse-postorder ranks drive the production solver; it
+    # must solve to the same ranges as the dense in-order reference sweeps.
     _module, function = build_two_index_loop_module()
-    fifo = RangeAnalysis(function, order="fifo")
-    scc = RangeAnalysis(function, order="scc")
-    loopdepth = RangeAnalysis(function, order="loopdepth")
-    assert fifo.ranges == scc.ranges == loopdepth.ranges
+    ranked = RangeAnalysis(function)
+    reference = RangeAnalysis(function, dense=True)
+    assert ranked.statistics.cyclic_components > 0
+    assert ranked.ranges == reference.ranges

@@ -79,9 +79,8 @@ def test_refinement_agrees_between_solvers(side):
         for on_true in (True, False):
             function, known, copy = _build_sigma_function(predicate, side, on_true)
             dense = RangeAnalysis(function, argument_ranges={known: OTHER},
-                                  solver="dense")
-            sparse = RangeAnalysis(function, argument_ranges={known: OTHER},
-                                   solver="sparse")
+                                  dense=True)
+            sparse = RangeAnalysis(function, argument_ranges={known: OTHER})
             assert dense.range_of(copy) == sparse.range_of(copy)
 
 

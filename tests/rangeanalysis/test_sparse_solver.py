@@ -1,10 +1,10 @@
 """Differential and regression tests for the sparse range solver.
 
-The sparse def-use worklist must produce intervals **bit-identical** to the
-dense reference sweeps (the worklist only skips evaluations that are
-provably no-ops), while performing no more — and on loop-heavy code far
-fewer — transfer-function evaluations.  Interval interning is asserted at
-object-identity level: repeated constant lookups must stop allocating.
+The production solver (the ranked def-use worklist on an unboxed interval
+table) must produce intervals **identical** to the dense reference sweeps,
+value by value, while performing far fewer transfer-function evaluations on
+loop-heavy code.  Interval interning is asserted at object-identity level:
+repeated constant lookups must stop allocating.
 """
 
 import pytest
@@ -12,13 +12,17 @@ import pytest
 from repro.core import LessThanAnalysis
 from repro.frontend import compile_source
 from repro.ir import IRBuilder
-from repro.rangeanalysis import Interval, RangeAnalysis, default_range_solver
-from repro.synth import kernel_module, kernel_names
+from repro.rangeanalysis import Interval, RangeAnalysis
+from repro.synth import generate_random_module, kernel_module, kernel_names
 from tests.helpers import (
     build_counting_loop_module,
     build_figure3_module,
     build_two_index_loop_module,
+    perfbench_sources,
 )
+
+#: seeds of the csmith-style fuzz corpus (the verify suite's corpus too).
+FUZZ_SEEDS = 40
 
 #: a loop whose body is one long dependence chain — the SCC the dense solver
 #: is quadratic on and the sparse solver linear.
@@ -34,8 +38,8 @@ CHAIN_SOURCE = (
 
 
 def _assert_identical(function):
-    dense = RangeAnalysis(function, solver="dense")
-    sparse = RangeAnalysis(function, solver="sparse")
+    dense = RangeAnalysis(function, dense=True)
+    sparse = RangeAnalysis(function)
     assert set(dense.ranges) == set(sparse.ranges)
     for value in dense.ranges:
         assert dense.ranges[value] == sparse.ranges[value], \
@@ -53,31 +57,27 @@ def test_sparse_matches_dense_on_helper_modules(builder):
     _assert_identical(function)
 
 
+def _assert_identical_before_and_after_essa(module):
+    for function in module.defined_functions():
+        _assert_identical(function)
+    # The e-SSA form (σ-copies, condition edges) is the form the pipeline
+    # actually solves on — cover it too.
+    LessThanAnalysis(module, build_essa=True)
+    for function in module.defined_functions():
+        _assert_identical(function)
+
+
 def test_sparse_matches_dense_on_every_kernel():
     for name in kernel_names():
-        module = kernel_module(name)
-        for function in module.defined_functions():
-            _assert_identical(function)
-        # The e-SSA form (σ-copies, condition edges) is the form the
-        # pipeline actually solves on — cover it too.
-        LessThanAnalysis(module, build_essa=True)
-        for function in module.defined_functions():
-            _assert_identical(function)
-
-
-def test_sparse_never_evaluates_more_than_dense():
-    # A *fifo*-ordered property: the replay policy only ever skips dense
-    # evaluations that are provably no-ops.  Ranked policies trade the
-    # guarantee per tiny component for fewer evaluations in aggregate
-    # (gated in benchmarks/bench_solver_hotpath.py), so the order is
-    # pinned rather than inherited from REPRO_WORKLIST_ORDER.
-    for name in kernel_names():
-        module = kernel_module(name)
-        for function in module.defined_functions():
-            dense = RangeAnalysis(function, solver="dense")
-            sparse = RangeAnalysis(function, solver="sparse", order="fifo")
-            assert dense.ranges == sparse.ranges
-            assert sparse.statistics.evaluations <= dense.statistics.evaluations
+        _assert_identical_before_and_after_essa(kernel_module(name))
+    # The end-to-end benchmark's programs: the 16 SPEC profiles (seed 0),
+    # their reseeded mixes and the long-chain loops.
+    for name, source in perfbench_sources(range(3)):
+        _assert_identical_before_and_after_essa(
+            compile_source(source, module_name=name))
+    for seed in range(FUZZ_SEEDS):
+        _assert_identical_before_and_after_essa(
+            generate_random_module(seed, pointer_depth=2))
 
 
 def test_sparse_wins_big_on_loop_heavy_chains():
@@ -94,7 +94,7 @@ def test_widening_points_are_tracked_per_value():
     assert header_phi in analysis.widening_points
     assert analysis.statistics.widening_points == len(analysis.widening_points)
     assert analysis.statistics.widenings >= 1
-    dense = RangeAnalysis(function, solver="dense")
+    dense = RangeAnalysis(function, dense=True)
     assert dense.widening_points == analysis.widening_points
 
 
@@ -106,23 +106,6 @@ def test_statistics_shape():
         assert key in stats
     assert stats["evaluations"] > 0
     assert stats["cyclic_components"] >= 1
-
-
-def test_solver_selection_via_environment(monkeypatch):
-    from repro.api.config import ConfigError
-
-    monkeypatch.setenv("REPRO_RANGE_SOLVER", "dense")
-    assert default_range_solver() == "dense"
-    _module, function = build_counting_loop_module()
-    assert RangeAnalysis(function).solver == "dense"
-    # Invalid values fail loudly at the config boundary (no silent fallback).
-    monkeypatch.setenv("REPRO_RANGE_SOLVER", "nonsense")
-    with pytest.raises(ConfigError, match="REPRO_RANGE_SOLVER"):
-        default_range_solver()
-    monkeypatch.delenv("REPRO_RANGE_SOLVER")
-    assert RangeAnalysis(function).solver == "sparse"
-    with pytest.raises(ValueError):
-        RangeAnalysis(function, solver="unknown")
 
 
 # -- interval interning -----------------------------------------------------------
