@@ -11,10 +11,11 @@ High-level entry points
 
 * :class:`repro.api.Session` — **the** unified facade: fluent
   ``Session(config).compile(src).analyze().disambiguate()`` pipeline,
-  ``Session.evaluate`` / ``Session.run_workload`` over the execution
-  engine, one shared analysis cache and store handle.
-* :class:`repro.api.ReproConfig` — every knob (workers, store, solver
-  strategies, truncation, synth seeds) as one validated, frozen dataclass
+  ``Session.evaluate`` / ``Session.evaluate_source`` /
+  ``Session.run_workload`` — the only way into the execution engine — one
+  shared analysis cache and store handle.
+* :class:`repro.api.ReproConfig` — every knob (workers, store, self-checks,
+  truncation, synth seeds, tracing) as one validated, frozen dataclass
   with the precedence chain *explicit argument > config field > ``REPRO_*``
   env var > default*.
 * ``python -m repro`` — the CLI (``eval``, ``print-ir``, ``stats``,

@@ -119,7 +119,7 @@ def evaluate_function_verdicts(function: Function, analysis: AliasAnalysis,
     Returns ``(evaluation, codes)`` where ``codes`` is one
     :attr:`AliasResult.code` character per unordered pair in ``(i, j)``
     iteration order.  The code string is what the cross-process engine
-    persists and compares to certify that sharded and store-warmed runs are
+    persists and compares to certify that pooled and store-warmed runs are
     bit-identical to the serial path.
     """
     codes = analysis.function_column(function, size)

@@ -63,8 +63,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                        help="equivalence-class truncation limit (0 = unlimited)")
     group.add_argument("--verify", default=None, choices=VERIFY_MODES,
                        help="self-check every solved pipeline (post = after "
-                            "each in-process solve, paranoid = also inside "
-                            "pool workers)")
+                            "each fresh solve, in-process or in a pool "
+                            "worker)")
     group.add_argument("--seed", type=int, default=None, metavar="N",
                        help="synthetic-workload base seed")
     group.add_argument("--trace", default=None, metavar="FILE",
@@ -458,7 +458,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             for key, value in verify_stats.items():
                 print("  {:24s} {}".format(key, value))
         else:
-            print("  (no verification runs — set REPRO_VERIFY=post|paranoid "
+            print("  (no verification runs — set REPRO_VERIFY=post "
                   "or run 'repro check')")
         if "store" in statistics:
             print("[store]")

@@ -22,12 +22,13 @@ instead of the silent fallbacks (or raw ``ValueError`` deep in the stack)
 of earlier revisions.
 
 This module is the *only* place in ``src/repro`` that reads ``REPRO_*``
-environment variables.  Lower layers (the engine driver, the analysis
-store, the verification hook, the disambiguator) call the
-``resolved_*`` functions below, which consult the innermost *active*
-config — installed by ``Session`` for the duration of its operations and
-re-installed inside worker processes — before falling back to the
-environment.  It deliberately imports nothing from the rest of the
+environment variables.  The :class:`~repro.api.session.Session` reads its
+own config's fields directly; lower layers that have no session at hand
+(the analysis store, the verification hook, the disambiguator, the
+synthetic workloads) call the ``resolved_*`` functions below, which consult
+the innermost *active* config — installed by ``Session`` for the duration
+of its operations and re-installed inside worker processes — before
+falling back to the environment.  It deliberately imports nothing from the rest of the
 package so that any module may depend on it without cycles.
 
 The range and less-than analyses each have exactly one solver, so no
@@ -85,10 +86,9 @@ UNSET = _Unset()
 
 STORE_BACKENDS = ("sqlite", "pickle")
 #: self-check modes of the verification pass suite (``repro.verify``):
-#: ``off`` skips it, ``post`` re-checks every in-process solve, and
-#: ``paranoid`` additionally runs inside pool workers, shipping reports
-#: back through the shard payload.
-VERIFY_MODES = ("off", "post", "paranoid")
+#: ``off`` skips it; ``post`` re-checks every fresh solve wherever it runs
+#: (pool workers ship their report back through the unit payload).
+VERIFY_MODES = ("off", "post")
 
 _FALSEY = ("", "0", "false", "no", "off")
 _TRUTHY = ("1", "true", "yes", "on")
@@ -365,17 +365,6 @@ def install_config(config: ReproConfig) -> None:
 # Resolution entry points for the lower layers
 # ---------------------------------------------------------------------------
 
-def resolved_workers() -> int:
-    config = active_config()
-    return config.workers if config is not None else _resolve_workers(UNSET)
-
-
-def resolved_store_path() -> Optional[str]:
-    config = active_config()
-    return (config.store_path if config is not None
-            else _resolve_store_path(UNSET))
-
-
 def resolved_store_backend() -> Optional[str]:
     config = active_config()
     return (config.store_backend if config is not None
@@ -391,7 +380,7 @@ def resolved_store_max_bytes() -> Optional[int]:
 
 
 def resolved_verify() -> str:
-    """The self-check mode: ``off``, ``post``, or ``paranoid``."""
+    """The self-check mode: ``off`` or ``post``."""
     config = active_config()
     return config.verify if config is not None else _resolve_verify(UNSET)
 
@@ -414,12 +403,6 @@ def resolved_full_scale() -> bool:
     config = active_config()
     return (config.full_scale if config is not None
             else _resolve_full_scale(UNSET))
-
-
-def resolved_trace() -> Optional[str]:
-    """The trace output path, or ``None`` when tracing is off."""
-    config = active_config()
-    return config.trace if config is not None else _resolve_trace(UNSET)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ hand: a validated :class:`~repro.api.config.ReproConfig`, exactly one
 work over the same modules hits memoized analyses), exactly one
 :class:`~repro.engine.store.AnalysisStore` handle (opened lazily from the
 config, shared across every call, closed once with the session), and the
-execution engine's coordinator.
+execution engine's coordinator.  It is the only way into the engine.
 
-The three call shapes::
+The four call shapes::
 
     from repro.api import ReproConfig, Session
 
@@ -18,19 +18,17 @@ The three call shapes::
     # aa-eval over one module, in-process, sharing the session cache/store
     result = session.evaluate(module, specs=(("basicaa",), ("lt",)))
 
+    # aa-eval one module from source (a one-unit run_workload)
+    result = session.evaluate_source("prog", source)
+
     # a whole workload, fanned out over worker processes per the config
     with Session(ReproConfig(workers=4, store_path="warm.sqlite")) as session:
         results = session.run_workload(sources)
 
 Every operation runs with the session's config *active*
-(:meth:`ReproConfig.activate`), so solver selection, class truncation and
+(:meth:`ReproConfig.activate`), so class truncation, self-checks and
 store parameters resolve from the config deep inside the pipeline — and
 are re-installed inside worker processes by the engine's pool initializer.
-
-The pre-existing module-level entry points
-(:func:`repro.engine.run_workload`, :func:`repro.engine.evaluate_module`,
-:func:`repro.engine.evaluate_module_parallel`) remain as thin deprecation
-shims that construct a default ``Session``; verdicts are bit-identical.
 """
 
 from __future__ import annotations
@@ -49,7 +47,8 @@ from repro.core.lessthan.analysis import LessThanAnalysis
 from repro.engine import driver as _driver
 from repro.engine.driver import UnitLike, UnitResult
 from repro.engine.store import AnalysisStore
-from repro.engine.workunit import DEFAULT_SPECS, Scheduler, WorkUnit
+from repro.engine.worker import evaluate_module_functions
+from repro.engine.workunit import DEFAULT_SPECS
 from repro.frontend import compile_source
 from repro.ir.module import Module
 from repro.ir.printer import print_module
@@ -354,13 +353,13 @@ class Session:
                     store_obj.close()
                 store_obj, owned = None, False
             try:
-                payload = _driver.worker_module.evaluate_module_functions(
-                    module, None, specs,
+                payload = evaluate_module_functions(
+                    module, specs,
                     cache if cache is not None else self.cache, store_obj,
                     interprocedural=interprocedural,
                     record_verdicts=record_verdicts,
                     memoize_evaluations=memoize_evaluations)
-                _driver._write_back(store_obj, payload)
+                _driver._absorb_payload(store_obj, payload)
             finally:
                 if owned and store_obj is not None:
                     store_obj.close()
@@ -392,33 +391,13 @@ class Session:
 
     def evaluate_source(self, name: str, source: str,
                         specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                        *, workers: Optional[int] = None,
-                        store: object = None,
+                        *, store: object = None,
                         interprocedural: bool = True) -> UnitResult:
-        """``aa-eval`` one module from source, sharding its functions across
-        worker processes when the (explicit or configured) worker count
-        asks for them."""
-        with self.config.activate():
-            worker_count = self._worker_count(workers)
-            spec_tuple = tuple(tuple(spec) for spec in specs)
-            unit = WorkUnit("aaeval", name, source, None, spec_tuple,
-                            interprocedural)
-            if worker_count > 1:
-                module = compile_source(source, module_name=name)
-                names = [function.name
-                         for function in module.defined_functions()]
-                weights = [float(len(collect_pointer_values(function)) ** 2 + 1)
-                           for function in module.defined_functions()]
-                shards = Scheduler(worker_count).shard_unit(unit, names, weights)
-            else:
-                shards = [unit]
-            store_obj, owned = self._resolve_store_arg(store)
-            try:
-                payloads = _driver._run_units(shards, worker_count, store_obj)
-            finally:
-                if owned and store_obj is not None:
-                    store_obj.close()
-            return UnitResult(_driver._merge_aaeval_payloads(name, payloads))
+        """``aa-eval`` one module from source: a one-unit
+        :meth:`run_workload`, so it runs in-process whatever the worker
+        count."""
+        return self.run_workload([(name, source)], specs=specs, store=store,
+                                 interprocedural=interprocedural)[0]
 
     def run_workload(self, units: Sequence[UnitLike], kind: str = "aaeval",
                      specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
@@ -479,11 +458,10 @@ class Session:
 
         ``phases`` maps span names to ``count``/``total``/``self``/``min``/
         ``max``/``p50``/``p99`` (seconds); ``lanes`` carries per-worker busy
-        time and skew when shards ran in a pool.  Empty when the session is
+        time and skew when units ran in a pool.  Empty when the session is
         not tracing (construct it with ``ReproConfig(trace=...)`` or set
         ``REPRO_TRACE``).  ``cache``/``store`` counters are always present —
-        the shape benchmarks and the future ``serve`` daemon read p50/p99
-        from.
+        the shape benchmarks read p50/p99 from.
         """
         from repro.rangeanalysis.interval import Interval
 

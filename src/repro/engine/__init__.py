@@ -1,28 +1,28 @@
-"""The sharded cross-process evaluation engine.
+"""The cross-process evaluation engine.
 
 The paper's evaluation methodology issues O(n²) alias queries over every
 function of every benchmark program; PR 1 made per-function work cheap and
 self-contained (:class:`~repro.passes.FunctionAnalysisCache`), and this
-package scales it out:
+package scales it out, one work unit per program:
 
 * :mod:`repro.engine.workunit` — picklable :class:`WorkUnit` descriptions
-  plus a deterministic LPT :class:`Scheduler` that shards a module's
-  functions or whole workload program lists;
+  (job kind, program name, source text, analysis specs);
 * :mod:`repro.engine.worker` — the per-process job runner (compile the
-  unit's source deterministically, evaluate its shard, return picklable
-  verdict/statistics payloads);
+  unit's source deterministically, evaluate every function, return
+  picklable verdict/statistics payloads);
 * :mod:`repro.engine.store` — the persistent :class:`AnalysisStore`
   (sqlite, pickle fallback) content-addressed by IR text hashes with
   versioned invalidation, so repeated runs skip analysis entirely;
-* :mod:`repro.engine.driver` — the coordinator internals plus the legacy
-  module-level entry points (:func:`run_workload`,
-  :func:`evaluate_module_parallel`, :func:`evaluate_module`), kept as thin
-  deprecation shims over :class:`repro.api.session.Session`; configuration
-  resolves through :class:`repro.api.config.ReproConfig` (explicit argument
-  > config field > ``REPRO_*`` environment variable > default), with a
-  serial in-process fallback.
+* :mod:`repro.engine.driver` — the coordinator internals: the serial or
+  pooled unit runner and the one step that absorbs every payload.
 
-Every path — serial, sharded, store-warmed — produces bit-identical
+The only entry point is :class:`repro.api.session.Session`
+(``run_workload``, ``evaluate_source``, ``evaluate``); configuration
+resolves through :class:`repro.api.config.ReproConfig` (explicit argument
+> config field > ``REPRO_*`` environment variable > default), with a
+serial in-process fallback.
+
+Every path — serial, pooled, store-warmed — produces bit-identical
 per-pair verdicts; the engine records the verdict streams precisely so that
 this can be asserted, not assumed.
 """
@@ -30,42 +30,29 @@ this can be asserted, not assumed.
 from repro.engine.store import (
     AnalysisStore,
     STORE_VERSION,
-    default_store_max_bytes,
+    StoreError,
     function_key,
     text_hash,
 )
-from repro.engine.workunit import DEFAULT_SPECS, Scheduler, WorkUnit, spec_label
+from repro.engine.workunit import DEFAULT_SPECS, WorkUnit, spec_label
 from repro.engine.worker import (
     build_analysis,
     evaluate_module_functions,
     run_work_unit,
 )
-from repro.engine.driver import (
-    UnitResult,
-    default_store_path,
-    default_workers,
-    evaluate_module,
-    evaluate_module_parallel,
-    run_workload,
-)
+from repro.engine.driver import UnitResult
 
 __all__ = [
     "AnalysisStore",
     "STORE_VERSION",
-    "default_store_max_bytes",
+    "StoreError",
     "function_key",
     "text_hash",
     "DEFAULT_SPECS",
-    "Scheduler",
     "WorkUnit",
     "spec_label",
     "build_analysis",
     "evaluate_module_functions",
     "run_work_unit",
     "UnitResult",
-    "default_store_path",
-    "default_workers",
-    "evaluate_module",
-    "evaluate_module_parallel",
-    "run_workload",
 ]

@@ -1,34 +1,20 @@
-"""The coordinator: sharding, worker pools, merging and the store life cycle.
+"""The coordinator: worker pools, payload absorption and the store life cycle.
 
-Public API:
+:class:`repro.api.session.Session` is the only entry point; its
+``run_workload`` / ``evaluate_source`` / ``evaluate`` methods drive the
+internals below:
 
-* :func:`run_workload` — evaluate a list of benchmark programs, one work
-  unit per program, fanned out over ``multiprocessing`` workers (or run
-  in-process when ``workers <= 1`` — the serial fallback needs no
-  subprocesses, which keeps the tier-1 test suite self-contained).  The
-  pooled path is a *streaming* driver: shard payloads are consumed with
-  ``imap_unordered`` as they land, store write-back overlaps with
-  still-running shards, an optional ``on_result`` observer sees every
-  result immediately, and a post-merge sort on the input index restores
+* :func:`_run_units` — evaluate one work unit per program, fanned out over
+  ``multiprocessing`` workers (or run in-process when ``workers <= 1`` or
+  there is a single unit — the serial fallback needs no subprocesses, which
+  keeps the tier-1 test suite self-contained).  The pooled path streams:
+  payloads are consumed with ``imap_unordered`` as they land, store
+  write-back overlaps with still-running units, an optional observer sees
+  every payload immediately, and a sort on the input index restores
   deterministic output order.
-* :func:`evaluate_module_parallel` — shard *one* module's functions across
-  workers; every worker compiles the same source (bit-identical IR, since
-  the frontend and mem2reg are deterministic) and evaluates only its shard.
-* :func:`evaluate_module` — the in-process entry point for an already
-  compiled module, sharing its :class:`FunctionAnalysisCache` with the
-  caller.
-
-The public functions above are deprecation shims over the
-:class:`repro.api.session.Session` facade; defaults resolve through
-:class:`repro.api.config.ReproConfig` (explicit argument > config field >
-``REPRO_*`` environment variable > default):
-
-* ``workers`` / ``REPRO_WORKERS`` — worker-process count (``0`` = serial).
-* ``store_path`` / ``REPRO_STORE`` — path of the persistent analysis store
-  (unset = no persistence); ``store_backend`` / ``REPRO_STORE_BACKEND`` may
-  force ``sqlite`` or ``pickle``; ``store_max_mb`` / ``REPRO_STORE_MAX_MB``
-  bounds the store's payload footprint (least-recently-used entries are
-  swept after each write batch).
+* :func:`_absorb_payload` — the one coordinator-side step every payload
+  passes through, serial or pooled: pop the shipped spans, count and judge
+  any shipped verification report, then write fresh entries back.
 
 Workers only ever *read* the store; freshly computed entries return to the
 coordinator inside each payload and are written back here, keeping the
@@ -47,28 +33,9 @@ from repro.alias.aaeval import AliasEvaluation, resolution_counts
 from repro.core.disambiguation import DisambiguationStatistics
 from repro.engine import worker as worker_module
 from repro.engine.store import AnalysisStore
-from repro.engine.workunit import DEFAULT_SPECS, WorkUnit
-from repro.ir.module import Module
+from repro.engine.workunit import WorkUnit
 from repro.obs import TRACER
-from repro.passes.analysis_cache import FunctionAnalysisCache
-
-
-def default_workers() -> int:
-    """The configured worker count (0 = serial).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_WORKERS`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there instead of silently
-    falling back to serial.
-    """
-    return api_config.resolved_workers()
-
-
-def default_store_path() -> Optional[str]:
-    """The configured persistent-store path (active config, then
-    ``REPRO_STORE``)."""
-    return api_config.resolved_store_path()
+from repro.verify import COUNTERS, VerificationReport
 
 
 def _start_method() -> str:
@@ -153,65 +120,52 @@ def _normalize_units(units: Sequence[UnitLike], kind: str,
             normalized.append(unit)
         elif isinstance(unit, tuple) and len(unit) == 2:
             name, source = unit
-            normalized.append(WorkUnit(kind, name, source, None, spec_tuple,
+            normalized.append(WorkUnit(kind, name, source, spec_tuple,
                                        interprocedural))
         elif hasattr(unit, "name") and hasattr(unit, "source"):
             # WorkloadProgram and friends.
-            normalized.append(WorkUnit(kind, unit.name, unit.source, None,
+            normalized.append(WorkUnit(kind, unit.name, unit.source,
                                        spec_tuple, interprocedural))
         else:
             raise TypeError("cannot build a WorkUnit from {!r}".format(unit))
     return normalized
 
 
-def _absorb_telemetry(payload: Dict[str, object]) -> None:
-    """Merge a pool payload's shipped span buffer onto the coordinator tracer.
+def _absorb_payload(store: Optional[AnalysisStore],
+                    payload: Dict[str, object]) -> None:
+    """The coordinator-side step every payload passes through.
 
-    Workers attach ``spans`` (their drained buffer) and ``span_epoch``
-    (their wall-clock anchor) to every payload when tracing is on; the
-    coordinator rebases the timestamps and files the spans under a
-    ``worker-<pid>`` lane — the per-shard merge mirroring
-    ``DisambiguationStatistics.merge``.  The fields are popped
-    unconditionally so verdict output never carries timing data.
+    Serial and pooled runs and :meth:`~repro.api.session.Session.evaluate`
+    all call it, in this order:
+
+    1. *spans* — a pool worker's drained span buffer (``spans``) and clock
+       anchor (``span_epoch``) are rebased and merged onto the coordinator
+       tracer under a ``worker-<pid>`` lane;
+    2. *verification* — a shipped ``REPRO_VERIFY=post`` report (``verify``)
+       is counted into :data:`repro.verify.COUNTERS` when it comes from
+       another process (an in-process run already counted it) and raises
+       :class:`~repro.verify.VerifyError` on error findings, so a failed
+       unit is never persisted and fails identically pooled or not;
+    3. *write-back* — freshly computed entries (``new_entries``) are
+       persisted and the *touched keys* a read-only worker store recorded
+       (``touched_keys``) are promoted to the current generation, so
+       eviction approximates LRU rather than FIFO.
+
+    Every field above is popped unconditionally, so verdict output never
+    carries timing, verification or store data.
     """
     spans = payload.pop("spans", None)
     epoch = payload.pop("span_epoch", None)
     if spans:
         lane = "worker-{}".format(payload.get("pid", "?"))
         TRACER.absorb_shard(spans, lane, epoch)
-
-
-def _absorb_verify(payload: Dict[str, object]) -> None:
-    """Fold a pool payload's shipped verification report into the process.
-
-    Under ``REPRO_VERIFY=paranoid`` every worker verifies its own shard and
-    attaches the report to the payload (in-process runs raise right in the
-    worker module instead).  The coordinator counts the shipped report into
-    :data:`repro.verify.COUNTERS` and re-raises its error findings here, so
-    paranoid failures surface identically whether the shard ran pooled or
-    not.  The field is popped unconditionally so verdict output never
-    carries verification data.
-    """
     shipped = payload.pop("verify", None)
-    if not shipped:
-        return
-    from repro.verify import COUNTERS, VerificationReport
-
-    report = VerificationReport.from_dict(shipped)
-    COUNTERS.record(report)
-    report.raise_if_failed(
-        "REPRO_VERIFY=paranoid (worker pid {})".format(
-            payload.get("pid", "?")))
-
-
-def _write_back(store: Optional[AnalysisStore],
-                payload: Dict[str, object]) -> None:
-    """Persist one payload's freshly computed entries (coordinator-side).
-
-    Also applies the payload's *touched keys* — store hits recorded by a
-    read-only worker-side store — promoting those entries to the current
-    generation so eviction approximates LRU rather than FIFO.
-    """
+    if shipped:
+        report = VerificationReport.from_dict(shipped)
+        if payload.get("pid") != os.getpid():
+            COUNTERS.record(report)
+        report.raise_if_failed("REPRO_VERIFY=post ({}, pid {})".format(
+            payload.get("name", "?"), payload.get("pid", "?")))
     entries = payload.pop("new_entries", None)
     touched = payload.pop("touched_keys", None)
     if store is None or store.readonly:
@@ -230,161 +184,43 @@ def _run_units(units: List[WorkUnit], workers: int,
 
     The pooled path streams: results are consumed with ``imap_unordered``
     as workers finish, so store write-back (and the caller's ``on_payload``
-    observer) overlaps with still-in-flight shards instead of waiting for
+    observer) overlaps with still-in-flight units instead of waiting for
     the slowest one.  Each task carries its input index and the collected
     results are sorted by it afterwards, so the returned payload order is
     deterministic — identical to the serial path — regardless of worker
     scheduling.
     """
-    if workers <= 1 or len(units) <= 1:
-        payloads = []
-        for unit in units:
-            payload = worker_module.run_work_unit(unit, store=store)
-            _write_back(store, payload)
-            payloads.append(payload)
-            if on_payload is not None:
-                on_payload(payload)
-        return payloads
-    store_spec = None
-    if store is not None:
-        store_spec = (store.path, store.version, store.backend_name)
-    context = multiprocessing.get_context(_start_method())
-    # Ship the active config (if any) into every worker so that solver
-    # selection and class truncation resolve exactly as on the coordinator.
-    pool = context.Pool(processes=workers,
-                        initializer=worker_module.initialize_worker,
-                        initargs=(_source_root(), api_config.active_config()),
-                        maxtasksperchild=max_tasks_per_child)
+    pool = None
     arrived: List[Tuple[int, Dict[str, object]]] = []
     try:
-        tasks = [(index, unit, store_spec)
-                 for index, unit in enumerate(units)]
-        for index, payload in pool.imap_unordered(
-                worker_module.execute_indexed, tasks, chunksize=1):
-            _absorb_telemetry(payload)
-            _absorb_verify(payload)
-            _write_back(store, payload)
+        if workers <= 1 or len(units) <= 1:
+            stream = ((index, worker_module.run_work_unit(unit, store=store))
+                      for index, unit in enumerate(units))
+        else:
+            store_spec = None
+            if store is not None:
+                store_spec = (store.path, store.version, store.backend_name)
+            context = multiprocessing.get_context(_start_method())
+            # Ship the active config (if any) into every worker so that
+            # class truncation and self-checks resolve exactly as on the
+            # coordinator.
+            pool = context.Pool(
+                processes=workers,
+                initializer=worker_module.initialize_worker,
+                initargs=(_source_root(), api_config.active_config()),
+                maxtasksperchild=max_tasks_per_child)
+            tasks = [(index, unit, store_spec)
+                     for index, unit in enumerate(units)]
+            stream = pool.imap_unordered(worker_module.execute_indexed, tasks,
+                                         chunksize=1)
+        for index, payload in stream:
+            _absorb_payload(store, payload)
             arrived.append((index, payload))
             if on_payload is not None:
                 on_payload(payload)
     finally:
-        pool.close()
-        pool.join()
+        if pool is not None:
+            pool.close()
+            pool.join()
     arrived.sort(key=lambda item: item[0])
     return [payload for _index, payload in arrived]
-
-
-def run_workload(units: Sequence[UnitLike], kind: str = "aaeval",
-                 specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                 workers: Optional[int] = None,
-                 store: Union[None, bool, str, AnalysisStore] = None,
-                 interprocedural: bool = True,
-                 max_tasks_per_child: Optional[int] = None,
-                 on_result=None) -> List[UnitResult]:
-    """Evaluate one work unit per benchmark program, possibly in parallel.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.session.Session.run_workload`; it
-        constructs a default (environment-configured) session per call.
-        New code should hold a :class:`~repro.api.session.Session` so
-        repeated workloads share one cache and one store handle.
-
-    ``units`` may be ``WorkUnit`` objects, ``(name, source)`` tuples or
-    anything with ``name``/``source`` attributes (``WorkloadProgram``).
-    Results come back in input order regardless of worker scheduling.
-    ``store=None`` defers to the configured store path; pass ``store=False``
-    to force a persistence-free run (e.g. a timing baseline).  ``on_result``
-    streams: it observes each :class:`UnitResult` as the unit lands.
-    """
-    from repro.api.session import Session
-
-    with Session() as session:
-        return session.run_workload(
-            units, kind=kind, specs=specs, workers=workers, store=store,
-            interprocedural=interprocedural,
-            max_tasks_per_child=max_tasks_per_child, on_result=on_result)
-
-
-def _merge_aaeval_payloads(name: str,
-                           payloads: List[Dict[str, object]]) -> Dict[str, object]:
-    """Merge per-shard ``aaeval`` payloads losslessly on the coordinator."""
-    merged_labels: Dict[str, Dict[str, object]] = {}
-    statistics = DisambiguationStatistics()
-    functions: List[str] = []
-    store_hits = store_misses = 0
-    for payload in payloads:
-        functions.extend(payload["functions"])
-        statistics = statistics.merge(
-            DisambiguationStatistics.from_dict(payload.get("statistics", {})))
-        store_hits += payload.get("store_hits", 0)
-        store_misses += payload.get("store_misses", 0)
-        for label, data in payload["labels"].items():
-            slot = merged_labels.setdefault(
-                label, {"counts": AliasEvaluation().as_dict(), "verdicts": {}})
-            merged = AliasEvaluation.from_dict(slot["counts"]).merge(
-                AliasEvaluation.from_dict(data["counts"]))
-            slot["counts"] = merged.as_dict()
-            slot["verdicts"].update(data.get("verdicts", {}))
-    return {
-        "kind": "aaeval",
-        "name": name,
-        "functions": functions,
-        "instructions": payloads[0]["instructions"] if payloads else 0,
-        "module_hash": payloads[0].get("module_hash", "") if payloads else "",
-        "labels": merged_labels,
-        "statistics": statistics.as_dict(),
-        "store_hits": store_hits,
-        "store_misses": store_misses,
-    }
-
-
-def evaluate_module_parallel(name: str, source: str,
-                             specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                             workers: Optional[int] = None,
-                             store: Union[None, bool, str, AnalysisStore] = None,
-                             interprocedural: bool = True) -> UnitResult:
-    """Shard one module's functions across worker processes and merge.
-
-    The coordinator compiles the module once to discover function names and
-    weights (pointer count squared — the query loop is quadratic); each
-    worker recompiles the identical source and evaluates only its shard.
-    With ``workers <= 1`` the whole module is evaluated in-process.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.session.Session.evaluate_source`.
-    """
-    from repro.api.session import Session
-
-    with Session() as session:
-        return session.evaluate_source(name, source, specs=specs,
-                                       workers=workers, store=store,
-                                       interprocedural=interprocedural)
-
-
-def evaluate_module(module: Module,
-                    specs: Sequence[Sequence[str]] = DEFAULT_SPECS,
-                    cache: Optional[FunctionAnalysisCache] = None,
-                    store: Union[None, bool, str, AnalysisStore] = None,
-                    interprocedural: bool = True,
-                    record_verdicts: bool = True,
-                    memoize_evaluations: bool = True) -> UnitResult:
-    """Evaluate an already compiled module in-process.
-
-    Shares ``cache`` with the caller so repeated evaluation hits memoized
-    analyses; with a store, results are warm-loaded/persisted exactly like
-    the worker path.  Store keys content-address the *pre-conversion* IR, so
-    a module that has already been e-SSA-converted outside the engine cannot
-    be addressed canonically any more — persistence is skipped for it rather
-    than growing an incompatible second key family.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.api.session.Session.evaluate`.  A held
-        session additionally shares its cache across calls automatically.
-    """
-    from repro.api.session import Session
-
-    with Session() as session:
-        return session.evaluate(module, specs=specs, cache=cache, store=store,
-                                interprocedural=interprocedural,
-                                record_verdicts=record_verdicts,
-                                memoize_evaluations=memoize_evaluations)

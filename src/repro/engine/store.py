@@ -27,8 +27,14 @@ Invalidation is versioned: the store records a version string
 (:data:`STORE_VERSION`, bumped whenever analysis semantics change) and
 clears itself on mismatch, so stale results can never leak into a run of
 newer code.  Workers open the store read-only; freshly computed payloads
-travel back to the coordinator inside the shard result and are written by
+travel back to the coordinator inside the unit payload and are written by
 the coordinator alone, which keeps the writer count at one.
+
+A file that is not a store at all (truncated, overwritten, random bytes)
+never surfaces as a backend traceback: a writable open raises
+:class:`StoreError` naming the path (the CLI prints it as one ``error:``
+line and exits 2), while a read-only open — the worker side — behaves like
+a missing file, so every lookup misses and the unit is recomputed.
 
 Growth is managed: every entry records its pickled size and the store
 *generation* it was written in (the generation counter advances on each
@@ -43,7 +49,7 @@ survive sweeps that reclaim cold ones.  A writable store touches directly
 (buffered, flushed before any sweep or at close); a read-only store — the
 worker side of the engine's single-writer protocol — records the hit keys
 in :attr:`AnalysisStore.touched_keys`, which travel back to the
-coordinator inside the shard payload and are applied there with
+coordinator inside the unit payload and are applied there with
 :meth:`AnalysisStore.touch_many`.
 """
 
@@ -79,15 +85,9 @@ except ImportError:  # pragma: no cover
 STORE_VERSION = "aaeval-6"
 
 
-def default_store_max_bytes() -> Optional[int]:
-    """The configured byte budget (``None`` = unbounded).
-
-    Resolution — active :class:`~repro.api.config.ReproConfig` first, the
-    ``REPRO_STORE_MAX_MB`` environment variable second — lives in
-    :mod:`repro.api.config`; invalid values raise
-    :class:`~repro.api.config.ConfigError` there.
-    """
-    return resolved_store_max_bytes()
+class StoreError(OSError):
+    """The file at a store path is not an analysis store (e.g. not a
+    database); raised by writable opens and by :meth:`AnalysisStore.info`."""
 
 
 def function_key(label: str, function_text: str, fingerprint: str = "") -> str:
@@ -145,6 +145,8 @@ class _SqliteBackend:
     """One sqlite file; readers may be concurrent, the writer is single."""
 
     name = "sqlite"
+    #: why the file could not be read as a store (read-only opens only).
+    unreadable: Optional[str] = None
 
     def __init__(self, path: str, readonly: bool = False) -> None:
         self.path = path
@@ -157,10 +159,24 @@ class _SqliteBackend:
                 return
             uri = "file:{}?mode=ro".format(path.replace("?", "%3f").replace("#", "%23"))
             self._connection = sqlite3.connect(uri, uri=True)
+            try:
+                self._connection.execute(
+                    "SELECT COUNT(*) FROM sqlite_master").fetchone()
+            except sqlite3.DatabaseError as error:
+                # Not a database: answer like a missing file.
+                self.close()
+                self.unreadable = "{}: {}".format(path, error)
             return
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self._connection = sqlite3.connect(path)
+        try:
+            self._create_schema()
+        except sqlite3.DatabaseError as error:
+            self.close()
+            raise StoreError("{}: {}".format(path, error)) from None
+
+    def _create_schema(self) -> None:
         self._connection.execute(
             "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)")
         # Pre-v3 stores lack the generation/size columns; the version bump
@@ -271,6 +287,8 @@ class _PickleBackend:
     """
 
     name = "pickle"
+    #: why the file could not be read as a store (read-only opens only).
+    unreadable: Optional[str] = None
 
     def __init__(self, path: str, readonly: bool = False) -> None:
         self.path = path
@@ -282,7 +300,17 @@ class _PickleBackend:
         # store, not a corrupt one — loading it would raise EOFError.
         if os.path.exists(path) and os.path.getsize(path) > 0:
             with open(path, "rb") as handle:
-                data = pickle.load(handle)
+                try:
+                    data = pickle.load(handle)
+                    if not isinstance(data, dict):
+                        raise TypeError("not a pickled store dict")
+                except Exception as error:  # arbitrary bytes fail arbitrarily
+                    message = "{}: not an analysis store ({})".format(
+                        path, error)
+                    if not readonly:
+                        raise StoreError(message) from None
+                    self.unreadable = message
+                    return
             self._meta = dict(data.get("meta", {}))
             self._entries = {
                 key: value if isinstance(value, tuple) else (value, 0)
@@ -383,7 +411,7 @@ class AnalysisStore:
         self.version = version
         self.readonly = readonly
         if max_bytes is None:
-            self.max_bytes = default_store_max_bytes()
+            self.max_bytes = resolved_store_max_bytes()
         else:
             self.max_bytes = max_bytes if max_bytes > 0 else None
         backend_name = backend or _pick_backend(path)
@@ -532,7 +560,13 @@ class AnalysisStore:
         self._backend.clear()
 
     def info(self) -> Dict[str, object]:
-        """A summary of the store's state (the CLI's ``store info`` view)."""
+        """A summary of the store's state (the CLI's ``store info`` view).
+
+        Raises :class:`StoreError` for a file that is not a store: lookups
+        on it quietly miss, but an inspection must say what is wrong.
+        """
+        if self._backend.unreadable is not None:
+            raise StoreError(self._backend.unreadable)
         if not self.readonly:
             self._flush_touches()
         generations: Dict[int, int] = {}

@@ -2,9 +2,10 @@
 
 A worker receives a :class:`~repro.engine.workunit.WorkUnit`, compiles the
 unit's source text with the (deterministic) frontend, runs the requested job
-over its shard of functions and returns a plain-dict payload built from
+over every defined function and returns a plain-dict payload built from
 picklable primitives only — verdict counters, per-pair verdict code strings,
-statistics dicts — which the coordinator merges.
+statistics dicts — which the coordinator absorbs
+(:func:`repro.engine.driver._absorb_payload`).
 
 The ``aaeval`` job implements the engine's caching discipline:
 
@@ -19,10 +20,13 @@ The ``aaeval`` job implements the engine's caching discipline:
 3. for cache misses only: convert the module to e-SSA form and evaluate with
    the requested analysis configurations (so a fully warm run never builds a
    range analysis, never solves constraints and never issues a query),
-4. ship freshly computed payloads back to the coordinator, which alone
+4. under ``REPRO_VERIFY=post``, self-check every fresh solve and attach the
+   report to the payload (the coordinator counts it and raises on errors,
+   wherever the unit ran),
+5. ship freshly computed payloads back to the coordinator, which alone
    writes to the store.
 
-Every evaluation path — serial, sharded, store-warmed — follows the same
+Every evaluation path — serial, pooled, store-warmed — follows the same
 pipeline convention (evaluate on the e-SSA-converted module), so per-pair
 verdict streams are bit-identical across all of them.
 """
@@ -56,13 +60,6 @@ from repro.obs import TRACER
 from repro.passes.analysis_cache import FunctionAnalysisCache
 from repro.verify import VerificationReport, verify_alias_analysis
 
-#: True inside a multiprocessing pool worker (set by :func:`initialize_worker`).
-#: The self-check hook consults it: in-process runs verify under ``post`` and
-#: ``paranoid`` and raise on failure; pool workers verify under ``paranoid``
-#: only and ship the report back through the payload for the coordinator to
-#: judge (raising inside the pool would surface as an opaque pool error).
-_IN_POOL_WORKER = False
-
 
 def initialize_worker(src_path: Optional[str],
                       config: Optional[ReproConfig] = None) -> None:
@@ -73,15 +70,14 @@ def initialize_worker(src_path: Optional[str],
     source root it imported ``repro`` from.
 
     ``config`` is the coordinator's active :class:`ReproConfig`, installed
-    as this process's base config so that solver selection and
+    as this process's base config so that self-checks and
     equivalence-class truncation resolve identically in every worker —
     under ``spawn`` as well as ``fork`` (environment variables alone would
     miss a session whose config differs from the environment).  When that
     config carries a trace path, this worker's tracer starts recording too;
-    the span buffer ships back with each payload (see :func:`execute`).
+    the span buffer ships back with each payload (see
+    :func:`execute_indexed`).
     """
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
     if src_path and src_path not in sys.path:
         sys.path.insert(0, src_path)
     if config is not None:
@@ -157,16 +153,7 @@ def scope_fingerprint(scope: str, function_name: str, module_hash: str,
     return prints.fingerprint[function_name]
 
 
-def _shard_functions(module: Module, names: Optional[Sequence[str]]):
-    functions = list(module.defined_functions())
-    if names is None:
-        return functions
-    wanted = set(names)
-    return [function for function in functions if function.name in wanted]
-
-
 def evaluate_module_functions(module: Module,
-                              function_names: Optional[Sequence[str]] = None,
                               specs: Sequence[Sequence[str]] = (("lt",),),
                               cache: Optional[FunctionAnalysisCache] = None,
                               store: Optional[AnalysisStore] = None,
@@ -174,7 +161,7 @@ def evaluate_module_functions(module: Module,
                               record_verdicts: bool = True,
                               memoize_evaluations: bool = True,
                               name: Optional[str] = None) -> Dict[str, object]:
-    """Evaluate ``specs`` over (a shard of) ``module``'s functions.
+    """Evaluate ``specs`` over every defined function of ``module``.
 
     This is the core of the ``aaeval`` job, also callable in-process on an
     already compiled module (the serial fallback needs no pickling and no
@@ -189,7 +176,7 @@ def evaluate_module_functions(module: Module,
     if store is not None:
         memoize_evaluations = True
     cache = cache if cache is not None else FunctionAnalysisCache()
-    functions = _shard_functions(module, function_names)
+    functions = list(module.defined_functions())
     if store is not None:
         record_verdicts = True  # store entries must carry the verdict stream
     labels = [spec_label(spec) for spec in specs]
@@ -293,19 +280,6 @@ def evaluate_module_functions(module: Module,
     if store is not None and store.readonly:
         touched_keys = list(store.touched_keys[touched_before:])
 
-    # Self-check hook (REPRO_VERIFY): after the statistics snapshot — the
-    # audit restores the disambiguator counters it touches, so verified and
-    # unverified runs produce byte-identical payloads — and only when this
-    # call actually solved something (warm runs re-check nothing).
-    verify_report = None
-    verify_mode = resolved_verify()
-    if (verify_mode != "off" and prepared
-            and (verify_mode == "paranoid" or not _IN_POOL_WORKER)):
-        verify_report = _verify_prepared_analyses(analyses)
-        if verify_report is not None and not _IN_POOL_WORKER:
-            verify_report.raise_if_failed(
-                "REPRO_VERIFY={}".format(verify_mode))
-
     payload: Dict[str, object] = {
         "kind": "aaeval",
         "name": name if name is not None else module.name,
@@ -320,11 +294,17 @@ def evaluate_module_functions(module: Module,
         "touched_keys": touched_keys,
         "pid": os.getpid(),
     }
-    if verify_report is not None and _IN_POOL_WORKER:
-        # Ship the report like tracing spans: the coordinator pops the field
-        # (never persisted — _PERSISTED_FIELDS excludes it), folds the
-        # counters into its own totals and raises on error findings.
-        payload["verify"] = verify_report.as_dict()
+    # Self-check hook (REPRO_VERIFY=post): after the statistics snapshot —
+    # the audit restores the disambiguator counters it touches, so verified
+    # and unverified runs produce byte-identical payloads — and only when
+    # this call actually solved something (warm runs re-check nothing).  The
+    # report ships like tracing spans, in- or out-of-process alike: the
+    # coordinator pops the field (never persisted — _PERSISTED_FIELDS
+    # excludes it) and raises on error findings.
+    if prepared and resolved_verify() == "post":
+        verify_report = _verify_prepared_analyses(analyses)
+        if verify_report is not None:
+            payload["verify"] = verify_report.as_dict()
     return payload
 
 
@@ -361,7 +341,7 @@ def _verify_prepared_analyses(
 def _job_aaeval(unit: WorkUnit, module: Module, cache: FunctionAnalysisCache,
                 store: Optional[AnalysisStore]) -> Dict[str, object]:
     return evaluate_module_functions(
-        module, unit.functions, unit.specs, cache, store,
+        module, unit.specs, cache, store,
         interprocedural=unit.interprocedural, name=unit.name)
 
 
@@ -430,12 +410,7 @@ def _run_work_unit(unit: WorkUnit,
     if unit.kind not in JOBS:
         raise KeyError("unknown work-unit kind {!r}".format(unit.kind))
     memo_key = None
-    # Only whole-module units are memoized at the unit level: a shard
-    # (unit.functions set) evaluates a subset of the module, and persisting
-    # its payload under the unit's source key would let a later whole-module
-    # warm run pick up partial results.  Shards still share the
-    # function-level entries.
-    if store is not None and unit.kind in CACHEABLE_KINDS and unit.functions is None:
+    if store is not None and unit.kind in CACHEABLE_KINDS:
         memo_key = unit_key(unit.kind, unit.name, unit.source, unit.labels(),
                             unit.interprocedural)
         cached = store.get(memo_key)
@@ -477,40 +452,28 @@ def _readonly_store(store_spec: Tuple[str, str, str]) -> AnalysisStore:
     return store
 
 
-def execute(task: Tuple[WorkUnit, Optional[Tuple[str, str, str]]]) -> Dict[str, object]:
-    """Pool entry point: ``(unit, store_spec)`` with the store opened
-    read-only inside the worker (the coordinator is the only writer)."""
-    unit, store_spec = task
-    if store_spec is None:
-        return _ship_telemetry(run_work_unit(unit, store=None))
-    store = _readonly_store(store_spec)
-    try:
-        return _ship_telemetry(run_work_unit(unit, store=store))
-    finally:
-        # Each unit's payload carries its own touched-key delta; dropping
-        # the consumed log keeps long-lived pool workers from accumulating
-        # one entry per store hit forever.
-        store.touched_keys.clear()
+def execute_indexed(task: Tuple[int, WorkUnit, Optional[Tuple[str, str, str]]]) \
+        -> Tuple[int, Dict[str, object]]:
+    """Pool entry point: ``(index, unit, store_spec)``.
 
-
-def _ship_telemetry(payload: Dict[str, object]) -> Dict[str, object]:
-    """Attach this worker's drained span buffer to a pool payload.
-
-    The coordinator pops these fields, rebases the timestamps with the
-    shipped clock epoch and merges the spans onto its own timeline under a
-    ``worker-<pid>`` lane.  They never reach verdict output or the store
-    (``_PERSISTED_FIELDS`` excludes them), so traced and untraced runs stay
-    byte-identical.
+    The store is opened read-only inside the worker (the coordinator is the
+    only writer), and the payload comes back tagged with its input index so
+    the streaming coordinator can restore deterministic output order.  When
+    tracing, the worker's drained span buffer and clock epoch ride along;
+    the coordinator pops them (they never reach verdict output or the
+    store), so traced and untraced runs stay byte-identical.
     """
+    index, unit, store_spec = task
+    store = _readonly_store(store_spec) if store_spec is not None else None
+    try:
+        payload = run_work_unit(unit, store=store)
+    finally:
+        if store is not None:
+            # Each unit's payload carries its own touched-key delta;
+            # dropping the consumed log keeps long-lived pool workers from
+            # accumulating one entry per store hit forever.
+            store.touched_keys.clear()
     if TRACER.enabled:
         payload["spans"] = TRACER.drain()
         payload["span_epoch"] = TRACER.clock_epoch()
-    return payload
-
-
-def execute_indexed(task: Tuple[int, WorkUnit, Optional[Tuple[str, str, str]]]) \
-        -> Tuple[int, Dict[str, object]]:
-    """``imap_unordered`` entry point: tags the payload with its input index
-    so the streaming coordinator can restore deterministic output order."""
-    index, unit, store_spec = task
-    return index, execute((unit, store_spec))
+    return index, payload

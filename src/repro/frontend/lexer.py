@@ -39,8 +39,15 @@ class LexerError(Exception):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__("{} (line {}, column {})".format(message, line, column))
+        self.message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        # Pickle by constructor arguments: the default reduction replays
+        # ``self.args`` (the formatted text alone), which cannot rebuild the
+        # error — a pool's result thread would die unpickling it.
+        return type(self), (self.message, self.line, self.column)
 
 
 class Token(NamedTuple):

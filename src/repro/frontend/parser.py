@@ -14,7 +14,20 @@ class ParseError(Exception):
     def __init__(self, message: str, token: Token) -> None:
         super().__init__("{} at line {}, column {} (near {!r})".format(
             message, token.line, token.column, token.text or "<eof>"))
+        self.message = message
         self.token = token
+
+    @property
+    def line(self) -> int:
+        return self.token.line
+
+    @property
+    def column(self) -> int:
+        return self.token.column
+
+    def __reduce__(self):
+        # Pickle by constructor arguments (see LexerError.__reduce__).
+        return type(self), (self.message, self.token)
 
 
 #: binary operator precedence (larger binds tighter); assignment is handled

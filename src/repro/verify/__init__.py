@@ -9,9 +9,10 @@ Entry points:
 
 * ``python -m repro check`` — lint + certify source files or synthetic
   workloads, with per-function diagnostics (``--json`` for machines);
-* ``REPRO_VERIFY=off|post|paranoid`` / ``ReproConfig.verify`` — run the
-  suite automatically after every solve (``paranoid`` also inside pool
-  workers, shipping reports back through the shard payload);
+* ``REPRO_VERIFY=off|post`` / ``ReproConfig.verify`` — run the suite
+  automatically after every fresh solve, in-process or inside a pool
+  worker (workers ship the report back through the unit payload, and the
+  coordinator raises :class:`VerifyError` on error findings either way);
 * :meth:`repro.api.session.Session.verify` — verify everything a session
   has compiled, returning the merged :class:`VerificationReport`.
 """

@@ -49,17 +49,6 @@ class VerifyCounters:
         self.errors += len(report.errors)
         self.warnings += len(report.warnings)
 
-    def absorb(self, data: Dict[str, int]) -> None:
-        """Fold a shipped report summary in (the coordinator's merge path)."""
-        self.runs += 1
-        self.functions += int(data.get("functions", 0))
-        self.checks += sum(int(c) for c in (data.get("checked", {}) or {}).values())
-        for entry in data.get("diagnostics", []) or []:
-            if entry.get("severity") == "warning":
-                self.warnings += 1
-            else:
-                self.errors += 1
-
     def reset(self) -> None:
         self.__init__()
 

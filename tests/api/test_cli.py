@@ -8,6 +8,7 @@ in-process path, and one subprocess test exercises the real
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -127,6 +128,20 @@ def test_store_info_evict_clear(source_file, tmp_path, capsys):
 
     assert main(["store", "clear", store_path]) == 0
     assert "cleared" in capsys.readouterr().out
+
+
+def test_store_file_that_is_not_a_database_exits_2(source_file, tmp_path,
+                                                    capsys):
+    store_path = str(tmp_path / "trunc.sqlite")
+    with open(store_path, "wb") as handle:
+        handle.write(random.Random(0).randbytes(100))
+    for argv in (["eval", source_file, "--store", store_path],
+                 ["store", "info", store_path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: {}: file is not a database".format(store_path)]
+        assert captured.out == ""
 
 
 def test_invalid_configuration_exits_2(source_file, capsys):

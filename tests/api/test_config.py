@@ -23,9 +23,8 @@ from repro.api.config import (
     resolved_full_scale,
     resolved_store_backend,
     resolved_store_max_bytes,
-    resolved_store_path,
     resolved_synth_seed,
-    resolved_workers,
+    resolved_verify,
 )
 
 ALL_VARS = (
@@ -62,7 +61,7 @@ def test_environment_resolution(monkeypatch):
     monkeypatch.setenv("REPRO_CLASS_LIMIT", "8")
     monkeypatch.setenv("REPRO_SYNTH_SEED", "11")
     monkeypatch.setenv("REPRO_FULL", "1")
-    monkeypatch.setenv("REPRO_VERIFY", "paranoid")
+    monkeypatch.setenv("REPRO_VERIFY", "post")
     config = ReproConfig()
     assert config.workers == 4
     assert config.store_path == "/tmp/store.sqlite"
@@ -72,7 +71,7 @@ def test_environment_resolution(monkeypatch):
     assert config.class_limit == 8
     assert config.synth_seed == 11
     assert config.full_scale is True
-    assert config.verify == "paranoid"
+    assert config.verify == "post"
 
 
 def test_explicit_field_beats_environment(monkeypatch):
@@ -100,6 +99,7 @@ def test_zero_budget_means_unbounded():
     ("REPRO_SYNTH_SEED", "x"),
     ("REPRO_FULL", "maybe"),
     ("REPRO_VERIFY", "always"),
+    ("REPRO_VERIFY", "paranoid"),
 ])
 def test_invalid_environment_values_raise(monkeypatch, env_var, value):
     monkeypatch.setenv(env_var, value)
@@ -129,27 +129,26 @@ def test_replace_revalidates():
 
 
 def test_active_config_wins_over_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    config = ReproConfig(workers=0, class_limit=0,
-                         store_path="/tmp/cfg.sqlite", store_backend="pickle",
-                         store_max_mb=1, synth_seed=3, full_scale=True)
+    monkeypatch.setenv("REPRO_SYNTH_SEED", "5")
+    config = ReproConfig(class_limit=0, store_backend="pickle",
+                         store_max_mb=1, synth_seed=3, full_scale=True,
+                         verify="post")
     assert active_config() is None
-    assert resolved_workers() == 4  # environment (no active config)
+    assert resolved_synth_seed() == 5  # environment (no active config)
     with config.activate():
         assert active_config() is config
-        assert resolved_workers() == 0
-        assert resolved_store_path() == "/tmp/cfg.sqlite"
         assert resolved_store_backend() == "pickle"
         assert resolved_store_max_bytes() == 1024 * 1024
         assert resolved_class_limit() is None  # 0 = unlimited
         assert resolved_synth_seed() == 3
         assert resolved_full_scale() is True
+        assert resolved_verify() == "post"
         # Nested configs shadow the outer one, then restore it.
-        with config.replace(workers=7).activate():
-            assert resolved_workers() == 7
-        assert resolved_workers() == 0
+        with config.replace(synth_seed=7).activate():
+            assert resolved_synth_seed() == 7
+        assert resolved_synth_seed() == 3
     assert active_config() is None
-    assert resolved_workers() == 4
+    assert resolved_synth_seed() == 5
 
 
 def test_resolved_class_limit_default():
@@ -167,13 +166,15 @@ def test_no_solver_selection_knobs():
 
 
 def test_install_config_is_idempotent():
+    from repro.api import config as config_module
+
     config = ReproConfig(workers=3)
     try:
         install_config(config)
         install_config(config)
-        assert resolved_workers() == 3
+        assert active_config() is config
+        assert config_module._ACTIVE.count(config) == 1
     finally:
-        from repro.api import config as config_module
         config_module._ACTIVE.clear()
 
 

@@ -3,8 +3,10 @@
 The contract under test is *determinism first*: whatever the refresh layer
 migrates and the solver reuses, the verdict stream of an incremental update
 must be bit-identical to a cold solve of the same source — serially and
-against a sharded (``REPRO_WORKERS=2``) cold run.
+against a pooled (``workers=2``) cold run.
 """
+
+import os
 
 from repro.api import Session, UpdateResult
 
@@ -55,14 +57,16 @@ def test_update_source_matches_cold_solve():
     assert _verdicts(update.result) == _verdicts(cold)
 
 
-def test_update_source_matches_sharded_cold_solve():
+def test_update_source_matches_pooled_cold_solve():
     with Session() as session:
         session.update_source("m", BASE, SPECS)
         update = session.update_source("m", EDITED, SPECS)
-    with Session(workers=2) as sharded_session:
-        sharded = sharded_session.evaluate_source("m", EDITED, SPECS,
-                                                  workers=2)
-    assert _verdicts(update.result) == _verdicts(sharded)
+    with Session(workers=2) as pooled_session:
+        pooled = pooled_session.run_workload(
+            [("m", EDITED), ("m", EDITED)], specs=SPECS, store=False)
+    assert pooled[0].payload["pid"] != os.getpid()  # ran in a pool worker
+    for result in pooled:
+        assert _verdicts(update.result) == _verdicts(result)
 
 
 def test_update_source_repeated_edits_stay_consistent():

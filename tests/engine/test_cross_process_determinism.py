@@ -1,6 +1,6 @@
 """Cross-process determinism: the engine's foundational invariant.
 
-Sharded evaluation is only sound because compiling the same source text in
+Pooled evaluation is only sound because compiling the same source text in
 any process yields bit-identical IR (deterministic frontend, mem2reg and
 e-SSA conversion) and therefore bit-identical alias verdicts.  These tests
 compile the same Csmith-seeded workload in two *separate* subprocesses
@@ -9,13 +9,18 @@ printed IR and per-pair verdict streams against each other and against the
 parent process.
 """
 
-from repro.engine import run_workload
+from repro.api import Session
 from repro.frontend import compile_source
 from repro.ir.printer import print_module
 from repro.synth import CsmithConfig, RandomProgramGenerator
 from repro.synth.workloads import compose_source
 
 SPECS = (("basicaa",), ("lt",), ("basicaa", "lt"))
+
+
+def _workload(units, **kwargs):
+    with Session() as session:
+        return session.run_workload(units, **kwargs)
 
 
 def _csmith_source(seed: int = 2024) -> str:
@@ -27,8 +32,8 @@ def _csmith_source(seed: int = 2024) -> str:
 def test_two_subprocesses_compile_identical_ir():
     source = _csmith_source()
     units = [("csmith_p", source), ("csmith_p", source)]
-    results = run_workload(units, kind="print-ir", workers=2,
-                           max_tasks_per_child=1)
+    results = _workload(units, kind="print-ir", workers=2,
+                        max_tasks_per_child=1)
     first, second = (result.payload for result in results)
     assert first["pid"] != second["pid"], "expected two distinct processes"
     assert first["ir"] == second["ir"]
@@ -40,21 +45,21 @@ def test_two_subprocesses_compile_identical_ir():
 def test_two_subprocesses_agree_on_verdicts():
     source = _csmith_source(seed=77)
     units = [("csmith_v", source), ("csmith_v", source)]
-    results = run_workload(units, specs=SPECS, workers=2, max_tasks_per_child=1)
+    results = _workload(units, specs=SPECS, workers=2, max_tasks_per_child=1)
     first, second = results
     assert first.payload["pid"] != second.payload["pid"]
     assert first.payload["labels"] == second.payload["labels"]
     assert first.payload["module_hash"] == second.payload["module_hash"]
     # And the serial in-process evaluation agrees with both.
-    serial = run_workload([("csmith_v", source)], specs=SPECS, workers=0)[0]
+    serial = _workload([("csmith_v", source)], specs=SPECS, workers=0)[0]
     assert serial.payload["labels"] == first.payload["labels"]
 
 
 def test_composed_workload_program_is_deterministic_across_processes():
     source = compose_source("det", ["vector_add"], [(13, 12, 2, 2)])
     units = [("det", source), ("det", source)]
-    results = run_workload(units, kind="print-ir", workers=2,
-                           max_tasks_per_child=1)
+    results = _workload(units, kind="print-ir", workers=2,
+                        max_tasks_per_child=1)
     assert results[0].payload["ir"] == results[1].payload["ir"]
 
 
@@ -63,10 +68,10 @@ def test_store_payloads_transfer_across_processes(tmp_path):
     with bit-identical verdict streams."""
     source = _csmith_source(seed=9)
     store_path = str(tmp_path / "store.sqlite")
-    cold = run_workload([("warmed", source)], specs=SPECS, workers=0,
-                        store=store_path)[0]
-    warm = run_workload([("warmed", source), ("warmed", source)], specs=SPECS,
-                        workers=2, max_tasks_per_child=1, store=store_path)
+    cold = _workload([("warmed", source)], specs=SPECS, workers=0,
+                     store=store_path)[0]
+    warm = _workload([("warmed", source), ("warmed", source)], specs=SPECS,
+                     workers=2, max_tasks_per_child=1, store=store_path)
     for result in warm:
         assert result.store_hits > 0
         assert result.store_misses == 0

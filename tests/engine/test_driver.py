@@ -1,15 +1,15 @@
-"""Tests for the engine driver: serial fallback, sharding, store wiring."""
+"""Tests for the engine driver through ``Session``: serial fallback, worker
+pools, store wiring."""
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from repro.engine import (
-    AnalysisStore,
-    default_store_path,
-    default_workers,
-    evaluate_module,
-    evaluate_module_parallel,
-    run_workload,
-)
+from repro.api import Session
+from repro.engine import AnalysisStore
 from repro.frontend import compile_source
 from repro.passes import FunctionAnalysisCache
 
@@ -38,8 +38,20 @@ def _labels(results):
     return [result.payload["labels"] for result in results]
 
 
+def _workload(units, **kwargs):
+    """``Session.run_workload`` on a fresh, environment-configured session."""
+    with Session() as session:
+        return session.run_workload(units, **kwargs)
+
+
+def _evaluate(module, **kwargs):
+    """``Session.evaluate`` on a fresh, environment-configured session."""
+    with Session() as session:
+        return session.evaluate(module, **kwargs)
+
+
 def test_serial_run_workload_shape():
-    results = run_workload(UNITS, specs=SPECS, workers=0)
+    results = _workload(UNITS, specs=SPECS, workers=0)
     assert [result.name for result in results] == ["prog_a", "prog_b"]
     for result in results:
         assert sorted(result.labels) == ["basicaa", "basicaa+lt", "lt"]
@@ -52,8 +64,8 @@ def test_serial_run_workload_shape():
 
 
 def test_parallel_matches_serial():
-    serial = run_workload(UNITS, specs=SPECS, workers=0)
-    parallel = run_workload(UNITS, specs=SPECS, workers=2)
+    serial = _workload(UNITS, specs=SPECS, workers=0)
+    parallel = _workload(UNITS, specs=SPECS, workers=2)
     assert _labels(serial) == _labels(parallel)
 
 
@@ -61,8 +73,8 @@ def test_streaming_driver_preserves_input_order():
     # imap_unordered may deliver results in any order; the post-merge sort
     # must restore input order bit-identically to the serial path.
     units = [("unit_{:02d}".format(index), SOURCE) for index in range(6)]
-    serial = run_workload(units, specs=(("lt",),), workers=0)
-    streamed = run_workload(units, specs=(("lt",),), workers=3)
+    serial = _workload(units, specs=(("lt",),), workers=0)
+    streamed = _workload(units, specs=(("lt",),), workers=3)
     assert [result.name for result in streamed] == [unit[0] for unit in units]
     assert _labels(serial) == _labels(streamed)
     assert [r.verdicts("lt") for r in serial] == [r.verdicts("lt") for r in streamed]
@@ -70,45 +82,36 @@ def test_streaming_driver_preserves_input_order():
 
 def test_on_result_streams_every_unit():
     streamed_names = []
-    results = run_workload(UNITS, specs=(("lt",),), workers=0,
-                           on_result=lambda result: streamed_names.append(result.name))
+    results = _workload(UNITS, specs=(("lt",),), workers=0,
+                        on_result=lambda result: streamed_names.append(result.name))
     assert sorted(streamed_names) == sorted(result.name for result in results)
 
 
 def test_on_result_streams_under_a_pool():
     streamed_names = []
-    results = run_workload(UNITS, specs=(("lt",),), workers=2,
-                           on_result=lambda result: streamed_names.append(result.name))
+    results = _workload(UNITS, specs=(("lt",),), workers=2,
+                        on_result=lambda result: streamed_names.append(result.name))
     # Arrival order is scheduler-dependent; coverage is not.
     assert sorted(streamed_names) == sorted(result.name for result in results)
     assert [result.name for result in results] == ["prog_a", "prog_b"]
 
 
-def test_evaluate_module_parallel_matches_serial():
-    serial = evaluate_module_parallel("prog", SOURCE, specs=SPECS, workers=0)
-    sharded = evaluate_module_parallel("prog", SOURCE, specs=SPECS, workers=2)
-    for label in ("basicaa", "lt", "basicaa+lt"):
-        assert sharded.verdicts(label) == serial.verdicts(label)
-        assert sharded.evaluation(label).as_dict() == serial.evaluation(label).as_dict()
-    assert sorted(sharded.payload["functions"]) == sorted(serial.payload["functions"])
-
-
 def test_evaluate_module_in_process_shares_cache():
     module = compile_source(SOURCE, module_name="prog")
     cache = FunctionAnalysisCache()
-    first = evaluate_module(module, specs=(("lt",),), cache=cache)
+    first = _evaluate(module, specs=(("lt",),), cache=cache)
     # Second evaluation over the same cache serves memoized payloads: no new
     # analyses are built, verdicts are unchanged.
     functions_before = cache.cached_functions()
-    second = evaluate_module(module, specs=(("lt",),), cache=cache)
+    second = _evaluate(module, specs=(("lt",),), cache=cache)
     assert cache.cached_functions() == functions_before
     assert second.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
 
 
 def test_store_round_trip_serial(tmp_path):
     store_path = str(tmp_path / "store.sqlite")
-    cold = run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
-    warm = run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
+    cold = _workload(UNITS, specs=SPECS, workers=0, store=store_path)
+    warm = _workload(UNITS, specs=SPECS, workers=0, store=store_path)
     assert _labels(cold) == _labels(warm)
     assert cold[0].store_misses > 0
     # Write-back streams per unit, so the second unit (same source text)
@@ -121,8 +124,8 @@ def test_store_round_trip_serial(tmp_path):
 
 def test_store_round_trip_parallel(tmp_path):
     store_path = str(tmp_path / "store.sqlite")
-    cold = run_workload(UNITS, specs=SPECS, workers=2, store=store_path)
-    warm = run_workload(UNITS, specs=SPECS, workers=2, store=store_path)
+    cold = _workload(UNITS, specs=SPECS, workers=2, store=store_path)
+    warm = _workload(UNITS, specs=SPECS, workers=2, store=store_path)
     assert _labels(cold) == _labels(warm)
     assert all(result.store_hits > 0 for result in warm)
 
@@ -131,35 +134,22 @@ def test_partial_warmth_draws_function_entries(tmp_path):
     """A new module reusing known functions misses at the unit level but
     still draws the per-function entries it shares with an earlier run."""
     store_path = str(tmp_path / "store.sqlite")
-    run_workload([("prog_a", SOURCE)], specs=(("basicaa",),), workers=0,
-                 store=store_path)
+    _workload([("prog_a", SOURCE)], specs=(("basicaa",),), workers=0,
+              store=store_path)
     # Same source under a new unit name: unit-level memo misses (the name is
     # part of the key) but every function-level entry hits.
-    warm = run_workload([("prog_c", SOURCE)], specs=(("basicaa",),), workers=0,
-                        store=store_path)
+    warm = _workload([("prog_c", SOURCE)], specs=(("basicaa",),), workers=0,
+                     store=store_path)
     assert warm[0].store_hits > 0
-    reference = run_workload([("prog_c", SOURCE)], specs=(("basicaa",),), workers=0)
+    reference = _workload([("prog_c", SOURCE)], specs=(("basicaa",),), workers=0)
     assert warm[0].payload["labels"] == reference[0].payload["labels"]
-
-
-def test_sharded_run_does_not_poison_whole_unit_memo(tmp_path):
-    """Shard payloads must never be stored under the whole-unit key: a warm
-    whole-module run after a sharded one has to see complete results."""
-    store_path = str(tmp_path / "store.sqlite")
-    evaluate_module_parallel("prog", SOURCE, specs=SPECS, workers=2,
-                             store=store_path)
-    warm = run_workload([("prog", SOURCE)], specs=SPECS, workers=0,
-                        store=store_path)[0]
-    reference = run_workload([("prog", SOURCE)], specs=SPECS, workers=0,
-                             store=False)[0]
-    assert warm.payload["labels"] == reference.payload["labels"]
 
 
 def test_store_false_disables_env_store(tmp_path, monkeypatch):
     store_path = tmp_path / "env-store.sqlite"
     monkeypatch.setenv("REPRO_STORE", str(store_path))
-    results = run_workload([("prog_a", SOURCE)], specs=(("basicaa",),),
-                           store=False)
+    results = _workload([("prog_a", SOURCE)], specs=(("basicaa",),),
+                        store=False)
     assert results[0].store_hits == 0
     assert results[0].store_misses == 0
     assert not store_path.exists()
@@ -170,14 +160,14 @@ def test_evaluate_module_skips_store_for_converted_modules(tmp_path):
     # outside the engine must not grow an incompatible key family.
     store_path = str(tmp_path / "store.sqlite")
     module = compile_source(SOURCE, module_name="prog")
-    first = evaluate_module(module, specs=(("lt",),), store=store_path)
+    first = _evaluate(module, specs=(("lt",),), store=store_path)
     assert first.store_misses > 0  # pristine module: persisted normally
     converted = compile_source(SOURCE, module_name="prog")
-    evaluate_module(converted, specs=(("lt",),), store=False)  # converts it
+    _evaluate(converted, specs=(("lt",),), store=False)  # converts it
     assert any(getattr(f, "essa_form", False) for f in converted.defined_functions())
     with AnalysisStore(store_path) as store:
         entries_before = len(store)
-        result = evaluate_module(converted, specs=(("lt",),), store=store)
+        result = _evaluate(converted, specs=(("lt",),), store=store)
         assert result.store_hits == 0 and result.store_misses == 0
         assert len(store) == entries_before
         assert result.evaluation("lt").as_dict() == first.evaluation("lt").as_dict()
@@ -188,23 +178,23 @@ def test_interprocedural_modes_do_not_share_entries(tmp_path):
     IR; neither the store nor the cache may serve one mode's payloads to
     the other."""
     store_path = str(tmp_path / "store.sqlite")
-    run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
-                 store=store_path, interprocedural=False)
-    cross = run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
-                         store=store_path, interprocedural=True)[0]
+    _workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
+              store=store_path, interprocedural=False)
+    cross = _workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
+                      store=store_path, interprocedural=True)[0]
     assert cross.store_hits == 0  # every key family is mode-specific
-    reference = run_workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
-                             store=False, interprocedural=True)[0]
+    reference = _workload([("prog_a", SOURCE)], specs=(("lt",),), workers=0,
+                          store=False, interprocedural=True)[0]
     assert cross.payload["labels"] == reference.payload["labels"]
     # One in-process cache used under both modes keeps them apart too.
     module = compile_source(SOURCE, module_name="prog_a")
     cache = FunctionAnalysisCache()
-    intra = evaluate_module(module, specs=(("lt",),), cache=cache,
-                            store=False, interprocedural=False)
-    inter = evaluate_module(module, specs=(("lt",),), cache=cache,
-                            store=False, interprocedural=True)
-    fresh = evaluate_module(compile_source(SOURCE, module_name="prog_a"),
-                            specs=(("lt",),), store=False, interprocedural=True)
+    intra = _evaluate(module, specs=(("lt",),), cache=cache,
+                      store=False, interprocedural=False)
+    inter = _evaluate(module, specs=(("lt",),), cache=cache,
+                      store=False, interprocedural=True)
+    fresh = _evaluate(compile_source(SOURCE, module_name="prog_a"),
+                      specs=(("lt",),), store=False, interprocedural=True)
     assert inter.evaluation("lt").as_dict() == fresh.evaluation("lt").as_dict()
     assert intra.verdicts("lt") is not None  # both modes evaluated
 
@@ -212,10 +202,10 @@ def test_interprocedural_modes_do_not_share_entries(tmp_path):
 def test_memoize_evaluations_off_reruns_queries():
     module = compile_source(SOURCE, module_name="prog")
     cache = FunctionAnalysisCache()
-    first = evaluate_module(module, specs=(("lt",),), cache=cache,
-                            store=False, memoize_evaluations=False)
-    second = evaluate_module(module, specs=(("lt",),), cache=cache,
-                             store=False, memoize_evaluations=False)
+    first = _evaluate(module, specs=(("lt",),), cache=cache,
+                      store=False, memoize_evaluations=False)
+    second = _evaluate(module, specs=(("lt",),), cache=cache,
+                       store=False, memoize_evaluations=False)
     # No payloads were memoized — each call re-ran the query loop over the
     # shared (memoized) analyses — and the results agree.
     assert cache.evaluation_count() == 0
@@ -226,7 +216,7 @@ def test_memoize_evaluations_off_reruns_queries():
 def test_chain_merges_the_member_columns_of_the_same_run():
     module = compile_source(SOURCE, module_name="prog")
     cache = FunctionAnalysisCache()
-    result = evaluate_module(module, specs=SPECS, cache=cache, store=False)
+    result = _evaluate(module, specs=SPECS, cache=cache, store=False)
     functions = list(module.defined_functions())
     # basicaa and lt columns for every function, and nothing else: the
     # chain built none of its own.
@@ -239,7 +229,7 @@ def test_chain_merges_the_member_columns_of_the_same_run():
 
 def test_resolution_splits_chain_pairs_by_member():
     module = compile_source(SOURCE, module_name="prog")
-    result = evaluate_module(module, specs=SPECS, store=False)
+    result = _evaluate(module, specs=SPECS, store=False)
     pairs = result.evaluation("basicaa+lt").total_queries
     basicaa = result.evaluation("basicaa")
     chain = result.evaluation("basicaa+lt")
@@ -259,9 +249,9 @@ def test_resolution_splits_chain_pairs_by_member():
 def test_store_version_mismatch_recomputes(tmp_path):
     store_path = str(tmp_path / "store.sqlite")
     with AnalysisStore(store_path, version="old") as store:
-        run_workload(UNITS, specs=SPECS, workers=0, store=store)
+        _workload(UNITS, specs=SPECS, workers=0, store=store)
     with AnalysisStore(store_path, version="new") as store:
-        results = run_workload(UNITS, specs=SPECS, workers=0, store=store)
+        results = _workload(UNITS, specs=SPECS, workers=0, store=store)
         # The mismatch cleared the store: nothing persisted under "old" may
         # be served.  The first unit recomputes everything; the second may
         # hit — but only entries the *new*-version run just streamed back.
@@ -270,41 +260,22 @@ def test_store_version_mismatch_recomputes(tmp_path):
 
 
 def test_unit_result_statistics_exposed():
-    results = run_workload(UNITS, specs=SPECS, workers=0)
+    results = _workload(UNITS, specs=SPECS, workers=0)
     statistics = results[0].statistics
     assert statistics.queries > 0
-
-
-def test_env_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    assert default_workers() == 0
-    assert default_store_path() is None
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    monkeypatch.setenv("REPRO_STORE", "/tmp/some-store.sqlite")
-    assert default_workers() == 3
-    assert default_store_path() == "/tmp/some-store.sqlite"
-    # Invalid values fail loudly at the config boundary (no silent fallback).
-    from repro.api.config import ConfigError
-    monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-    with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-        default_workers()
-    monkeypatch.setenv("REPRO_WORKERS", "-2")
-    with pytest.raises(ConfigError, match="REPRO_WORKERS"):
-        default_workers()
 
 
 def test_store_budget_env_bounds_growth(tmp_path, monkeypatch):
     """REPRO_STORE_MAX_MB sweeps the store after every write batch."""
     store_path = str(tmp_path / "bounded.sqlite")
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "0.001")  # ~1 KiB
-    results = run_workload(UNITS, specs=SPECS, workers=0, store=store_path)
+    results = _workload(UNITS, specs=SPECS, workers=0, store=store_path)
     assert _labels(results)  # evaluation itself is unaffected
     with AnalysisStore(store_path, max_bytes=0) as store:
         assert store.size_bytes() <= 1024
     monkeypatch.delenv("REPRO_STORE_MAX_MB")
     unbounded_path = str(tmp_path / "unbounded.sqlite")
-    run_workload(UNITS, specs=SPECS, workers=0, store=unbounded_path)
+    _workload(UNITS, specs=SPECS, workers=0, store=unbounded_path)
     with AnalysisStore(unbounded_path) as store:
         assert store.size_bytes() > 1024  # same workload, no sweep
 
@@ -312,15 +283,15 @@ def test_store_budget_env_bounds_growth(tmp_path, monkeypatch):
 def test_env_store_is_honoured(tmp_path, monkeypatch):
     store_path = str(tmp_path / "env-store.sqlite")
     monkeypatch.setenv("REPRO_STORE", store_path)
-    cold = run_workload([("prog_a", SOURCE)], specs=(("basicaa",),))
-    warm = run_workload([("prog_a", SOURCE)], specs=(("basicaa",),))
+    cold = _workload([("prog_a", SOURCE)], specs=(("basicaa",),))
+    warm = _workload([("prog_a", SOURCE)], specs=(("basicaa",),))
     assert cold[0].store_misses > 0
     assert warm[0].store_hits > 0
     assert _labels(cold) == _labels(warm)
 
 
 def test_lessthan_stats_job():
-    results = run_workload([("prog_a", SOURCE)], kind="lessthan-stats", workers=0)
+    results = _workload([("prog_a", SOURCE)], kind="lessthan-stats", workers=0)
     payload = results[0].payload
     assert payload["constraints"] > 0
     assert payload["worklist_pops"] > 0
@@ -329,9 +300,38 @@ def test_lessthan_stats_job():
 
 def test_unknown_kind_raises():
     with pytest.raises(KeyError):
-        run_workload([("prog_a", SOURCE)], kind="no-such-job", workers=0)
+        _workload([("prog_a", SOURCE)], kind="no-such-job", workers=0)
 
 
 def test_rejects_unbuildable_units():
     with pytest.raises(TypeError):
-        run_workload([42], workers=0)
+        _workload([42], workers=0)
+
+
+def test_malformed_unit_under_a_pool_raises_a_typed_error():
+    """A parse error inside a pool worker reaches the caller as the same
+    ``ParseError`` a serial run raises, with its position intact — the pool
+    must be able to unpickle it, or its result thread dies and the run
+    hangs forever."""
+    script = textwrap.dedent('''
+        from repro.api import Session
+        from repro.frontend.parser import ParseError
+
+        OK = "void f(int* v, int N) { int i; for (i = 0; i < N; i++) v[i] = i; }"
+        units = [("bad", "int f( { return 0; }"), ("ok", OK), ("ok2", OK)]
+        try:
+            with Session(workers=2, store_path=None) as session:
+                session.run_workload(units)
+        except ParseError as error:
+            print("ParseError", error.line, error.column)
+    ''')
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["ParseError", "1", "8"]
+    assert "Traceback" not in completed.stderr

@@ -7,7 +7,7 @@ import pytest
 from repro.engine.store import (
     STORE_VERSION,
     AnalysisStore,
-    default_store_max_bytes,
+    StoreError,
     function_key,
     text_hash,
     unit_key,
@@ -79,6 +79,35 @@ def test_zero_byte_file_is_a_fresh_store(tmp_path):
         assert reopened.get("k") == PAYLOAD
 
 
+def _not_a_store(path):
+    # 100 bytes that are neither an sqlite header nor a pickle stream.
+    with open(path, "wb") as handle:
+        handle.write(b"\xff" * 100)
+
+
+def test_writable_open_of_a_non_store_file_raises_store_error(tmp_path,
+                                                                backend):
+    path = str(tmp_path / "trunc.bin")
+    _not_a_store(path)
+    with pytest.raises(StoreError, match="trunc.bin"):
+        AnalysisStore(path, backend=backend)
+    with open(path, "rb") as handle:
+        assert handle.read() == b"\xff" * 100  # left untouched
+
+
+def test_readonly_open_of_a_non_store_file_misses_like_a_missing_one(
+        tmp_path, backend):
+    path = str(tmp_path / "trunc.bin")
+    _not_a_store(path)
+    with AnalysisStore(path, backend=backend, readonly=True) as store:
+        assert store.get("anything") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert len(store) == 0
+        # Inspecting it (``store info``) says what is wrong instead.
+        with pytest.raises(StoreError, match="trunc.bin"):
+            store.info()
+
+
 def test_readonly_rejects_writes_and_version_mismatch_misses(tmp_path, backend):
     path = str(tmp_path / "store.bin")
     with AnalysisStore(path, version="v1", backend=backend) as store:
@@ -146,7 +175,7 @@ def _assert_migrates(path, backend, old_version):
     """Stale ``old_version`` entries never serve under the current version.
 
     A writable open under the current version clears them wholesale; a
-    read-only open (shard workers) answers clean misses without crashing
+    read-only open (pool workers) answers clean misses without crashing
     or clearing entries it does not own.
     """
     with AnalysisStore(path, version=old_version, backend=backend) as old:
@@ -274,24 +303,29 @@ def test_readonly_store_refuses_eviction(tmp_path, backend):
             store.evict(max_bytes=1)
 
 
-def test_default_store_max_bytes_parsing(monkeypatch):
+def test_store_budget_env_parsing(tmp_path, monkeypatch):
     from repro.api.config import ConfigError
 
+    path = str(tmp_path / "budget.sqlite")
+
+    def budget():
+        return AnalysisStore(path, readonly=True).max_bytes
+
     monkeypatch.delenv("REPRO_STORE_MAX_MB", raising=False)
-    assert default_store_max_bytes() is None
+    assert budget() is None
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "2")
-    assert default_store_max_bytes() == 2 * 1024 * 1024
+    assert budget() == 2 * 1024 * 1024
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "0.5")
-    assert default_store_max_bytes() == 512 * 1024
+    assert budget() == 512 * 1024
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "0")
-    assert default_store_max_bytes() is None
+    assert budget() is None
     # Invalid values fail loudly at the config boundary (no silent fallback).
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "not-a-number")
     with pytest.raises(ConfigError, match="REPRO_STORE_MAX_MB"):
-        default_store_max_bytes()
+        budget()
     monkeypatch.setenv("REPRO_STORE_MAX_MB", "-1")
     with pytest.raises(ConfigError, match="REPRO_STORE_MAX_MB"):
-        default_store_max_bytes()
+        budget()
 
 
 # ---------------------------------------------------------------------------

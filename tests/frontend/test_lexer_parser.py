@@ -1,5 +1,7 @@
 """Tests for the mini-C lexer and parser."""
 
+import pickle
+
 import pytest
 
 from repro.frontend import LexerError, ParseError, ast, compile_source, parse_program, tokenize
@@ -140,6 +142,23 @@ def test_parse_errors_are_reported_with_position():
         parse_program("int f() { int a[n]; }")
     with pytest.raises(ParseError):
         parse_program("int 3() { }")
+
+
+@pytest.mark.parametrize("source,error_type,position", [
+    ("int f( { }", ParseError, (1, 8)),
+    ("int f() {\n  return 1 @ 2;\n}", LexerError, (2, 12)),
+])
+def test_frontend_errors_round_trip_through_pickle(source, error_type,
+                                                   position):
+    # Worker pools pickle exceptions back to the coordinator; an error that
+    # cannot be rebuilt kills the pool's result thread and hangs the run.
+    with pytest.raises(error_type) as info:
+        compile_source(source)
+    clone = pickle.loads(pickle.dumps(info.value))
+    assert type(clone) is error_type
+    assert str(clone) == str(info.value)
+    assert clone.message == info.value.message
+    assert (clone.line, clone.column) == position
 
 
 def test_program_function_lookup():

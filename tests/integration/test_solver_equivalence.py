@@ -10,7 +10,7 @@ aa-eval) runs under each.
 
 from functools import partialmethod
 
-from repro.engine import run_workload
+from repro.api import Session
 from repro.rangeanalysis import RangeAnalysis
 
 SPECS = (("basicaa",), ("lt",), ("basicaa", "lt"))
@@ -31,8 +31,9 @@ def _verdict_streams(results):
 
 
 def _run(workers=0):
-    return run_workload(_kernel_units(), specs=SPECS, workers=workers,
-                        store=False)
+    with Session() as session:
+        return session.run_workload(_kernel_units(), specs=SPECS,
+                                    workers=workers, store=False)
 
 
 def test_verdicts_bit_identical_across_solver_modes(monkeypatch):
@@ -52,14 +53,14 @@ def test_verdicts_bit_identical_across_solver_modes(monkeypatch):
 
 
 def test_solver_totals_survive_sharding():
-    """Serial vs ``workers=2``: identical verdicts and identical merged
-    solver totals (the per-shard ``SolverInfo`` counters must survive the
-    coordinator merge losslessly)."""
+    """Serial vs ``workers=2``: identical verdicts and identical solver
+    totals (each unit's ``SolverInfo`` counters must survive the trip from
+    a pool worker to the coordinator losslessly)."""
     serial = _run()
-    sharded = _run(workers=2)
-    assert _verdict_streams(serial) == _verdict_streams(sharded)
-    for serial_result, sharded_result in zip(serial, sharded):
+    pooled = _run(workers=2)
+    assert _verdict_streams(serial) == _verdict_streams(pooled)
+    for serial_result, pooled_result in zip(serial, pooled):
         serial_solver = serial_result.statistics.solver
-        assert serial_solver == sharded_result.statistics.solver
+        assert serial_solver == pooled_result.statistics.solver
         assert serial_solver.evaluations > 0
         assert serial_solver.pops > 0

@@ -136,13 +136,10 @@ def test_pool_and_serial_runs_record_the_same_phases(tmp_path):
         session.run_workload([("unit_a", SOURCE), ("unit_b", SOURCE_B)],
                              store=False)
     serial = _load_trace(tmp_path / "serial.json")
-    # verify.* spans are asymmetric by design under REPRO_VERIFY=post (the
-    # post mode checks in-process solves only, not pool workers); compare
-    # the pipeline phases both execution shapes must share.
-    assert (Counter(e["name"] for e in _complete_events(pooled)
-                    if not e["name"].startswith("verify."))
-            == Counter(e["name"] for e in _complete_events(serial)
-                       if not e["name"].startswith("verify.")))
+    # REPRO_VERIFY=post checks pool workers' solves too, so even the
+    # verify.* spans match.
+    assert (Counter(e["name"] for e in _complete_events(pooled))
+            == Counter(e["name"] for e in _complete_events(serial)))
 
 
 def test_payloads_returned_to_callers_carry_no_span_fields(tmp_path):

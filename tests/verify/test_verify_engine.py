@@ -1,18 +1,22 @@
 """The ``REPRO_VERIFY`` knob through the engine and the Session facade.
 
-``post`` verifies after every in-process solve; ``paranoid`` additionally
-verifies inside pool workers and ships the report back through the shard
-payload (absorbed into the coordinator's counters, never leaking into
-verdict output).  ``Session.verify()`` is the programmatic surface, and
-``statistics()`` exposes the accumulated ``[verify]`` counters.
+``post`` verifies after every fresh solve, in-process or inside a pool
+worker; the report ships back through the unit payload (absorbed into the
+coordinator's counters, never leaking into verdict output), and error
+findings raise :class:`VerifyError` on the coordinator either way.
+``Session.verify()`` is the programmatic surface, and ``statistics()``
+exposes the accumulated ``[verify]`` counters.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.api import ReproConfig, Session
-from repro.verify import COUNTERS
+from repro.engine import AnalysisStore
+from repro.engine import worker as worker_module
+from repro.verify import COUNTERS, VerificationReport, VerifyError
 
 SOURCE = """
 int sum(int *a, int n) {
@@ -59,11 +63,13 @@ def test_post_mode_does_not_change_verdicts():
     assert plain[0].statistics.as_dict() == checked[0].statistics.as_dict()
 
 
-def test_paranoid_pool_ships_reports_to_the_coordinator():
+def test_post_mode_verifies_inside_pool_workers():
     units = [("m{}".format(i), SOURCE) for i in range(3)]
-    with Session(ReproConfig(verify="paranoid", workers=2)) as session:
+    with Session(ReproConfig(verify="post", workers=2)) as session:
         results = session.run_workload(units, specs=(("lt",),), store=False)
-    # The coordinator absorbed each worker's report...
+    # Every unit was verified in its worker; the coordinator counted each
+    # shipped report once...
+    assert all(result.payload["pid"] != os.getpid() for result in results)
     assert COUNTERS.runs == len(units)
     assert COUNTERS.checks > 0
     assert COUNTERS.errors == 0
@@ -72,12 +78,28 @@ def test_paranoid_pool_ships_reports_to_the_coordinator():
         assert "verify" not in result.payload
 
 
-def test_post_mode_skips_pool_workers_but_paranoid_does_not():
-    units = [("m", SOURCE), ("m2", SOURCE)]
-    with Session(ReproConfig(verify="post", workers=2)) as session:
-        session.run_workload(units, specs=(("lt",),), store=False)
-    # post: workers do not verify, nothing shipped, coordinator saw nothing.
-    assert COUNTERS.runs == 0
+@pytest.mark.parametrize("workers", [0, 2])
+def test_forged_verification_failure_raises_on_the_coordinator(
+        monkeypatch, tmp_path, workers):
+    """A failed self-check raises ``VerifyError`` — not a pool error — and
+    nothing of the failed unit reaches the store."""
+    def forged(_sraa):
+        report = VerificationReport()
+        report.functions = 1
+        report.add("lt", "error", "sum", "i", "forged finding")
+        return report
+
+    # Forked pool workers inherit the patch.
+    monkeypatch.setattr(worker_module, "verify_alias_analysis", forged)
+    store_path = str(tmp_path / "store.sqlite")
+    units = [("m{}".format(i), SOURCE) for i in range(2)]
+    with Session(ReproConfig(verify="post", workers=workers,
+                             store_path=store_path)) as session:
+        with pytest.raises(VerifyError, match="REPRO_VERIFY=post") as caught:
+            session.run_workload(units, specs=(("lt",),))
+    assert [d.message for d in caught.value.report.errors] == ["forged finding"]
+    with AnalysisStore(store_path, readonly=True) as store:
+        assert len(store) == 0
 
 
 def test_session_verify_and_statistics_counters():
